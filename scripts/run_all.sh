@@ -130,6 +130,18 @@ build/tools/valocal_cli --load-bin trace_output/rmat20.bin --algo luby \
 cmp trace_output/rmat20.bin trace_output/rmat20.roundtrip.bin
 echo "large-graph smoke: binary round-trip byte-identical"
 
+# Thread-count smoke for the streaming CSR build: the same RMAT
+# instance built on 1 and on 4 threads must save byte-identical files
+# (the build consumes concurrently generated blocks; the transpose and
+# the canonical edge ids make the result schedule-independent).
+echo "--- build-thread smoke: rmat:16x16 at 1 and 4 threads ---"
+for threads in 1 4; do
+  build/tools/valocal_cli --graph rmat:16x16 --seed 7 --algo luby \
+    --threads "$threads" --save-bin "trace_output/rmat16_t$threads.bin"
+done
+cmp trace_output/rmat16_t1.bin trace_output/rmat16_t4.bin
+echo "build-thread smoke: 1- and 4-thread builds byte-identical"
+
 # Cross-paper smoke: the two BGKO'22 entries (node/edge-averaged
 # catalog rows) must solve and validate on a low-degree RMAT instance
 # (scale 14, edge factor 2 keeps the average degree ~4), and the CLI

@@ -1,7 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <mutex>
 #include <numeric>
 
 #include "util/assertx.hpp"
@@ -57,84 +57,80 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   g.offsets_.assign(n + 1, 0);
   if (src.num_pairs() == 0) return g;
 
-  // Pass 1: degree counting (duplicates counted, removed after the
-  // per-slice sort; self-loops dropped). Relaxed atomics make the
-  // pass safe under any block parallelism; totals are order-free.
-  std::vector<std::atomic<Vertex>> degree(n);
+  // Pass 1: degree counting into offsets_[v + 1] (duplicates counted,
+  // removed after the transpose; self-loops dropped). The source may
+  // generate blocks on several threads; each block is consumed under
+  // one lock, so plain counters suffice and totals are order-free.
+  std::mutex mu;
   src.stream(num_threads, [&](EdgeBlockSource::Block block) {
     VALOCAL_REQUIRE(block.size() % 2 == 0,
                     "edge source yielded a half pair");
+    const std::lock_guard<std::mutex> lock(mu);
     for (std::size_t i = 0; i < block.size(); i += 2) {
       const Vertex u = block[i], v = block[i + 1];
       VALOCAL_REQUIRE(u < n && v < n,
                       "edge endpoint out of range (vertex id >= n)");
       if (u == v) continue;
-      degree[u].fetch_add(1, std::memory_order_relaxed);
-      degree[v].fetch_add(1, std::memory_order_relaxed);
+      ++g.offsets_[u + 1];
+      ++g.offsets_[v + 1];
     }
   });
-  for (std::size_t v = 0; v < n; ++v)
-    g.offsets_[v + 1] =
-        g.offsets_[v] + degree[v].load(std::memory_order_relaxed);
+  std::partial_sum(g.offsets_.begin(), g.offsets_.end(), g.offsets_.begin());
   const std::size_t slots = g.offsets_[n];
 
-  // Pass 2: scatter each endpoint straight into its adjacency slice.
-  // Slot order within a slice is schedule-dependent here; the sort
-  // below canonicalizes it, so the built graph is thread-count- and
-  // block-order-independent.
-  g.adjacency_.resize(slots);
-  std::vector<std::atomic<std::size_t>> cursor(n);
-  for (std::size_t v = 0; v < n; ++v)
-    cursor[v].store(g.offsets_[v], std::memory_order_relaxed);
+  // Pass 2: scatter each endpoint into its slice of an unsorted
+  // buffer. Slot order within a slice is schedule-dependent; the
+  // transpose below canonicalizes it. Every cursor is bounded by its
+  // slice end and the slot total is checked, so a source that yields
+  // a different multiset the second time fails loudly instead of
+  // writing past a slice (or past the buffer, for the last vertex).
+  std::vector<Vertex> unsorted(slots);
+  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  std::size_t scattered = 0;
   src.stream(num_threads, [&](EdgeBlockSource::Block block) {
+    VALOCAL_REQUIRE(block.size() % 2 == 0,
+                    "edge source changed between passes");
+    const std::lock_guard<std::mutex> lock(mu);
     for (std::size_t i = 0; i < block.size(); i += 2) {
       const Vertex u = block[i], v = block[i + 1];
       VALOCAL_REQUIRE(u < n && v < n,
                       "edge source changed between passes");
       if (u == v) continue;
-      g.adjacency_[cursor[u].fetch_add(1, std::memory_order_relaxed)] = v;
-      g.adjacency_[cursor[v].fetch_add(1, std::memory_order_relaxed)] = u;
+      VALOCAL_REQUIRE(cursor[u] < g.offsets_[u + 1] &&
+                          cursor[v] < g.offsets_[v + 1],
+                      "edge source changed between passes");
+      unsorted[cursor[u]++] = v;
+      unsorted[cursor[v]++] = u;
+      scattered += 2;
     }
   });
+  VALOCAL_REQUIRE(scattered == slots, "edge source changed between passes");
 
-  // Sort + dedup every slice in place (parallel over vertex ranges;
-  // slices are disjoint). The deduped degree lands in `degree`.
-  {
-    ThreadPool pool(num_threads);
-    pool.parallel_for_chunks(
-        n, 4096,
-        [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-          for (std::size_t v = begin; v < end; ++v) {
-            const auto lo = g.adjacency_.begin() +
-                            static_cast<std::ptrdiff_t>(g.offsets_[v]);
-            const auto hi = g.adjacency_.begin() +
-                            static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-            std::sort(lo, hi);
-            degree[v].store(
-                static_cast<Vertex>(std::unique(lo, hi) - lo),
-                std::memory_order_relaxed);
-          }
-        });
-  }
+  // Transpose: for u ascending, append u to the slice of each of its
+  // neighbors. The pair multiset is symmetric (every pair landed in
+  // both endpoint slices), so w's transposed slice holds exactly w's
+  // neighbors — now ascending, with duplicates adjacent. The unsorted
+  // buffer is freed before the side tables are allocated.
+  g.adjacency_.resize(slots);
+  std::copy_n(g.offsets_.begin(), n, cursor.begin());
+  for (Vertex u = 0; u < n; ++u)
+    for (std::size_t i = g.offsets_[u]; i < g.offsets_[u + 1]; ++i)
+      g.adjacency_[cursor[unsorted[i]]++] = u;
+  std::vector<Vertex>().swap(unsorted);
 
-  // Compact the deduped slices to the front and rebuild offsets. A
-  // duplicate pair shrinks both endpoint slices, so the slot count
-  // stays even. The adjacency vector keeps its 2·pairs capacity —
-  // that transient is the build's documented peak.
-  std::size_t write = 0, old_lo = 0;
-  std::size_t max_degree = 0;
+  // One linear sweep drops the adjacent duplicates, compacts the
+  // slices to the front and rebuilds offsets. A duplicate pair shrinks
+  // both endpoint slices, so the slot count stays even. The adjacency
+  // vector keeps its capacity; see docs/GRAPHS.md for the peak.
+  std::size_t write = 0, lo = 0, max_degree = 0;
   for (std::size_t v = 0; v < n; ++v) {
-    const std::size_t old_next = g.offsets_[v + 1];
-    const std::size_t d = degree[v].load(std::memory_order_relaxed);
-    if (write != old_lo)
-      std::copy(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(old_lo),
-                g.adjacency_.begin() +
-                    static_cast<std::ptrdiff_t>(old_lo + d),
-                g.adjacency_.begin() + static_cast<std::ptrdiff_t>(write));
-    write += d;
-    old_lo = old_next;
+    const std::size_t hi = g.offsets_[v + 1], start = write;
+    for (std::size_t i = lo; i < hi; ++i)
+      if (write == start || g.adjacency_[write - 1] != g.adjacency_[i])
+        g.adjacency_[write++] = g.adjacency_[i];
+    lo = hi;
     g.offsets_[v + 1] = write;
-    max_degree = std::max(max_degree, d);
+    max_degree = std::max(max_degree, write - start);
   }
   VALOCAL_ENSURE(write % 2 == 0, "odd adjacency slot count after dedup");
   const std::size_t m = write / 2;
@@ -150,9 +146,8 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   g.edge_v_.reserve(m);
   g.incident_.resize(write);
   g.mirror_.resize(write);
-  std::vector<std::size_t> sweep_cursor(n);
   sweep_edge_slots(
-      n, g.offsets_, g.adjacency_, sweep_cursor,
+      n, g.offsets_, g.adjacency_, cursor,
       [&](Vertex u, Vertex w, std::size_t fwd_slot, std::size_t rev_slot) {
         const EdgeId e = static_cast<EdgeId>(g.edge_u_.size());
         g.edge_u_.push_back(u);

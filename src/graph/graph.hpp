@@ -40,11 +40,14 @@ inline constexpr std::size_t kMaxEdges = kInvalidEdge;
 /// Semantics: stream() invokes `fn` on blocks of interleaved pairs
 /// (u0, v0, u1, v1, ...; block length is always even). The multiset of
 /// pairs must be identical across calls — the CSR build streams twice
-/// (degree count, then scatter). Block boundaries, block order, and
-/// the pair order inside a block are unspecified; with num_threads > 1
-/// implementations may invoke `fn` concurrently from several threads,
-/// so `fn` must be thread-safe. Self-loops and duplicate pairs are
-/// permitted (the build drops them, Graph500-style).
+/// (degree count, then scatter) and aborts if the second stream
+/// differs. Block boundaries, block order, and the pair order inside a
+/// block are unspecified; with num_threads > 1 implementations may
+/// invoke `fn` concurrently from several threads, so `fn` must be
+/// thread-safe (the build's consumer takes one lock per block, so the
+/// parallelism that pays is in producing blocks). Self-loops and
+/// duplicate pairs are permitted (the build drops them,
+/// Graph500-style).
 class EdgeBlockSource {
  public:
   using Block = std::span<const Vertex>;
@@ -82,12 +85,16 @@ class Graph {
   /// follow the input order. Requires n <= kMaxVertices.
   Graph(std::size_t n, std::vector<std::pair<Vertex, Vertex>> edges);
 
-  /// Memory-lean streaming build: two passes over `src` (degree count,
-  /// then scatter straight into CSR), per-vertex sort + dedup in
-  /// place, then one cursor sweep for edge ids, incident lists, and
-  /// reciprocal ports. No edge-pair staging vector and no hash-set
-  /// dedup: peak transient memory is ~2·pairs·sizeof(Vertex) for the
-  /// adjacency scatter plus the n+1 offsets. Unlike the vector
+  /// Memory-lean streaming build: two passes over `src` (degree count
+  /// into the offsets, then scatter into an unsorted per-vertex
+  /// buffer; one lock per block, no atomics), a transpose that leaves
+  /// every slice sorted with duplicates adjacent, one linear dedup +
+  /// compaction sweep, then one cursor sweep for edge ids, incident
+  /// lists, and reciprocal ports. No edge-pair staging vector, no
+  /// hash-set dedup and no sort: the transient before the side tables
+  /// is the unsorted buffer plus the transposed array,
+  /// ~4·pairs·sizeof(Vertex), and the unsorted buffer is freed before
+  /// the side tables are allocated (docs/GRAPHS.md). Unlike the vector
   /// constructor, self-loops and duplicate pairs are silently dropped
   /// (generator-exchange semantics: RMAT and Graph500-style inputs
   /// produce both), and edge ids are canonical — lexicographic by

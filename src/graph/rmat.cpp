@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <vector>
 
@@ -47,22 +48,48 @@ struct IdScramble {
   }
 };
 
+/// The quadrant cut points a, a+b, a+b+c as integer thresholds on the
+/// 53-bit draw behind Xoshiro256::uniform01(). With k = rng() >> 11,
+/// uniform01() is exactly k * 2^-53, and for t in (0, 1) the product
+/// t * 2^53 is exact (a power-of-two scaling), so
+///   uniform01() >= t  <=>  k >= t * 2^53  <=>  k >= ceil(t * 2^53)
+/// because k is an integer. The integer compare picks the same quadrant
+/// as the double compare on every draw: the pair stream is unchanged.
+/// The sums are formed as (a + b) + c, the association the cut points
+/// have always had.
+struct QuadrantThresholds {
+  std::uint64_t a, ab, abc;
+
+  explicit QuadrantThresholds(const RmatParams& p)
+      : a(threshold(p.a)),
+        ab(threshold(p.a + p.b)),
+        abc(threshold(p.a + p.b + p.c)) {}
+
+  static std::uint64_t threshold(double t) {
+    return static_cast<std::uint64_t>(std::ceil(std::ldexp(t, 53)));
+  }
+};
+
 /// One RMAT pair from its own (seed, index)-derived stream: descend
 /// `scale` levels of the 2x2 recursive matrix, picking a quadrant per
-/// level with probabilities (a, b, c, d).
-inline void rmat_pair(const RmatParams& p, const IdScramble& scramble,
-                      std::uint64_t index, Vertex& u, Vertex& v) {
+/// level with probabilities (a, b, c, d). Quadrants a, b, c, d are
+/// (bu, bv) = (0,0), (0,1), (1,0), (1,1); with the draw's position
+/// against the three cut points, bu = [k >= ab] and
+/// bv = [k >= a] ^ [k >= ab] ^ [k >= abc] (the cut points are ordered,
+/// so the XOR is 1 exactly in quadrants b and d). No branches.
+inline void rmat_pair(const RmatParams& p, const QuadrantThresholds& cut,
+                      const IdScramble& scramble, std::uint64_t index,
+                      Vertex& u, Vertex& v) {
   Xoshiro256 rng =
       vertex_rng(p.seed, index, /*round_salt=*/0x524d4154ULL);  // "RMAT"
-  const double ab = p.a + p.b;
-  const double abc = ab + p.c;
   Vertex ru = 0, rv = 0;
   for (std::uint32_t level = 0; level < p.scale; ++level) {
-    const double r = rng.uniform01();
-    const Vertex bu = r >= ab ? 1 : 0;
-    const Vertex bv = (r >= abc || (r >= p.a && r < ab)) ? 1 : 0;
-    ru = (ru << 1) | bu;
-    rv = (rv << 1) | bv;
+    const std::uint64_t k = rng() >> 11;
+    const Vertex ge_a = k >= cut.a ? 1 : 0;
+    const Vertex ge_ab = k >= cut.ab ? 1 : 0;
+    const Vertex ge_abc = k >= cut.abc ? 1 : 0;
+    ru = (ru << 1) | ge_ab;
+    rv = (rv << 1) | (ge_a ^ ge_ab ^ ge_abc);
   }
   u = scramble(ru);
   v = scramble(rv);
@@ -88,6 +115,7 @@ RmatSource::RmatSource(const RmatParams& params) : params_(params) {
 void RmatSource::stream(std::size_t num_threads, const BlockFn& fn) const {
   const RmatParams& p = params_;
   const IdScramble scramble(p.scale, p.seed, p.scramble_ids);
+  const QuadrantThresholds cut(p);
   const std::uint64_t total = p.num_directed_edges();
   const std::uint64_t num_blocks = (total + kBlockPairs - 1) / kBlockPairs;
   ThreadPool pool(num_threads);
@@ -99,7 +127,7 @@ void RmatSource::stream(std::size_t num_threads, const BlockFn& fn) const {
             std::min(kBlockPairs, total - first);
         std::vector<Vertex> buffer(2 * count);
         for (std::uint64_t i = 0; i < count; ++i)
-          rmat_pair(p, scramble, first + i, buffer[2 * i],
+          rmat_pair(p, cut, scramble, first + i, buffer[2 * i],
                     buffer[2 * i + 1]);
         fn(EdgeBlockSource::Block(buffer.data(), buffer.size()));
       });

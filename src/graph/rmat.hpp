@@ -12,6 +12,13 @@
 // edges; the streaming build drops both, so the built simple graph has
 // somewhat fewer than edge_factor * n edges (more skew at small
 // scales). See docs/GRAPHS.md for parameter guidance.
+//
+// Each level picks its quadrant by comparing the 53-bit integer draw
+// k = rng() >> 11 with precomputed thresholds ceil(t * 2^53) for
+// t = a, a+b, a+b+c. Since uniform01() is exactly k * 2^-53 and the
+// scaling by 2^53 is exact, k >= ceil(t * 2^53) holds exactly when
+// uniform01() >= t: the integer kernel reproduces the double
+// comparisons bit for bit, without branches.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "util/thread_pool.hpp"
 
 namespace valocal {
 namespace {
@@ -136,6 +137,23 @@ void expect_same_structure(const Graph& a, const Graph& b) {
   }
 }
 
+// Identical down to edge ids, incident lists and reciprocal ports.
+void expect_identical(const Graph& a, const Graph& b) {
+  expect_same_structure(a, b);
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    ASSERT_EQ(a.edge_u(e), b.edge_u(e)) << "edge " << e;
+    ASSERT_EQ(a.edge_v(e), b.edge_v(e)) << "edge " << e;
+  }
+  for (Vertex v = 0; v < a.num_vertices(); ++v) {
+    const auto ia = a.incident_edges(v), ib = b.incident_edges(v);
+    ASSERT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin(), ib.end()))
+        << "incident edges of " << v;
+    for (std::size_t i = 0; i < ia.size(); ++i)
+      ASSERT_EQ(a.neighbor_port(v, i), b.neighbor_port(v, i))
+          << "port " << i << " of " << v;
+  }
+}
+
 TEST(GraphFromSource, MatchesStagedBuildOnEveryGeneratorFamily) {
   const std::vector<std::pair<const char*, Graph>> families = [] {
     std::vector<std::pair<const char*, Graph>> out;
@@ -207,6 +225,98 @@ TEST(GraphFromSource, OutOfRangeEndpointDies) {
   const std::vector<Vertex> pairs = {0, 1, 5, 1};
   EXPECT_DEATH((void)Graph::from_source(3, SpanEdgeSource(pairs)),
                "out of range");
+}
+
+// A deliberately inconsistent source: the first stream() yields
+// `first`, every later call `second`, violating the "same multiset on
+// every call" contract the two-pass build relies on.
+class ChangingSource final : public EdgeBlockSource {
+ public:
+  ChangingSource(std::vector<Vertex> first, std::vector<Vertex> second)
+      : first_(std::move(first)), second_(std::move(second)) {}
+
+  std::uint64_t num_pairs() const override { return first_.size() / 2; }
+  void stream(std::size_t /*num_threads*/, const BlockFn& fn) const override {
+    fn(calls_++ == 0 ? first_ : second_);
+  }
+
+ private:
+  std::vector<Vertex> first_, second_;
+  mutable int calls_ = 0;
+};
+
+TEST(GraphFromSource, SourceChangingBetweenPassesDies) {
+  // Same slot total, but vertex 0 gains a pair the second time: its
+  // cursor would run into vertex 1's slice.
+  EXPECT_DEATH((void)Graph::from_source(
+                   3, ChangingSource({0, 1, 1, 2}, {0, 1, 0, 2})),
+               "edge source changed between passes");
+  // Same slot total, but the last vertex gains a pair: its cursor would
+  // run past the end of the buffer.
+  EXPECT_DEATH((void)Graph::from_source(
+                   3, ChangingSource({0, 1, 0, 2}, {0, 2, 1, 2})),
+               "edge source changed between passes");
+  // Fewer pairs: slots would stay unwritten.
+  EXPECT_DEATH((void)Graph::from_source(
+                   3, ChangingSource({0, 1, 1, 2}, {0, 1})),
+               "edge source changed between passes");
+  // A half pair on the second pass only.
+  EXPECT_DEATH((void)Graph::from_source(
+                   3, ChangingSource({0, 1}, {0, 1, 2})),
+               "edge source changed between passes");
+}
+
+// Streams interleaved pairs in small blocks across a thread pool, so a
+// multi-threaded build really consumes blocks concurrently and in a
+// schedule-dependent order (SpanEdgeSource's blocks are 2^20 pairs).
+class SmallBlockSource final : public EdgeBlockSource {
+ public:
+  explicit SmallBlockSource(std::span<const Vertex> pairs) : pairs_(pairs) {}
+
+  std::uint64_t num_pairs() const override { return pairs_.size() / 2; }
+  void stream(std::size_t num_threads, const BlockFn& fn) const override {
+    ThreadPool pool(num_threads);
+    pool.parallel_for_chunks(
+        pairs_.size() / 2, 64,
+        [&](std::size_t, std::size_t begin, std::size_t end) {
+          fn(pairs_.subspan(2 * begin, 2 * (end - begin)));
+        });
+  }
+
+ private:
+  std::span<const Vertex> pairs_;
+};
+
+TEST(GraphFromSource, HubMultigraphDedupIsThreadCountIndependent) {
+  // Two hubs joined to every other vertex (and to each other), each
+  // edge repeated in both orientations, plus a path-like sprinkle and a
+  // self-loop at every vertex: the transpose must leave the hubs' long
+  // slices sorted with duplicates adjacent, and the dedup sweep must
+  // collapse them.
+  constexpr Vertex kN = 3000;
+  std::vector<Vertex> pairs;
+  for (Vertex rep = 0; rep < 3; ++rep)
+    for (Vertex v = 0; v < kN; ++v) {
+      for (const Vertex hub : {Vertex{0}, Vertex{1}}) {
+        if (v == hub) continue;
+        pairs.insert(pairs.end(), {hub, v, v, hub});
+      }
+      if (v + 1 < kN && v % 7 == 0) pairs.insert(pairs.end(), {v + 1, v});
+      pairs.insert(pairs.end(), {v, v});
+    }
+  const SmallBlockSource src(pairs);
+  const Graph g1 = Graph::from_source(kN, src, 1);
+  EXPECT_EQ(g1.max_degree(), std::size_t{kN - 1});
+  EXPECT_EQ(g1.degree(0), std::size_t{kN - 1});
+  EXPECT_EQ(g1.degree(1), std::size_t{kN - 1});
+  expect_ports_consistent(g1);
+  for (const std::size_t threads : {std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    const Graph g = Graph::from_source(kN, src, threads);
+    expect_identical(g, g1);
+    EXPECT_EQ(g.max_degree(), g1.max_degree());
+    expect_ports_consistent(g);
+  }
 }
 
 TEST(GraphFromSource, EmptySource) {

@@ -144,6 +144,86 @@ TEST(Rmat, StatsSweepIsConsistent) {
                    2.0 * static_cast<double>(s.m) / static_cast<double>(s.n));
 }
 
+// --- Golden checksums: the pair stream and the built graph are pinned
+// bit for bit, so a faster kernel or CSR build must reproduce them. ---
+
+// FNV-1a over the bytes of each value widened to 64 bits:
+// order-sensitive, so a reordered stream or a permuted adjacency
+// changes it.
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+// The serial (one-thread) stream visits blocks in order, so its pair
+// sequence — not just its multiset — is deterministic.
+std::uint64_t serial_stream_checksum(const RmatParams& p) {
+  Fnv64 f;
+  std::uint64_t pairs = 0;
+  RmatSource(p).stream(1, [&](EdgeBlockSource::Block block) {
+    for (const Vertex x : block) f.add(x);
+    pairs += block.size() / 2;
+  });
+  EXPECT_EQ(pairs, p.num_directed_edges());
+  return f.h;
+}
+
+// Edge endpoints in id order, then every vertex's degree, neighbors,
+// incident edge ids and reciprocal ports.
+std::uint64_t graph_checksum(const Graph& g) {
+  Fnv64 f;
+  f.add(g.num_vertices());
+  f.add(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    f.add(g.edge_u(e));
+    f.add(g.edge_v(e));
+  }
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    const auto inc = g.incident_edges(v);
+    f.add(nbrs.size());
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      f.add(nbrs[i]);
+      f.add(inc[i]);
+      f.add(g.neighbor_port(v, i));
+    }
+  }
+  return f.h;
+}
+
+RmatParams skewed_unscrambled_params() {
+  RmatParams p;
+  p.scale = 11;
+  p.edge_factor = 6;
+  p.a = 0.45;
+  p.b = 0.25;
+  p.c = 0.15;
+  p.seed = 9;
+  p.scramble_ids = false;
+  return p;
+}
+
+TEST(Rmat, GoldenChecksumsDefaultProbabilities) {
+  const RmatParams p = small_params();
+  EXPECT_EQ(serial_stream_checksum(p), 0xb028d42e64ebe3faULL);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
+    EXPECT_EQ(graph_checksum(gen::rmat(p, threads)), 0x5b0f5586bafb4c4eULL)
+        << threads << " threads";
+}
+
+TEST(Rmat, GoldenChecksumsCustomProbabilitiesUnscrambled) {
+  const RmatParams p = skewed_unscrambled_params();
+  EXPECT_EQ(serial_stream_checksum(p), 0x81ec2fe2e8808db3ULL);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}})
+    EXPECT_EQ(graph_checksum(gen::rmat(p, threads)), 0x89aca375fb7bec6bULL)
+        << threads << " threads";
+}
+
 TEST(Rmat, SpecParsing) {
   const RmatParams p = gen::parse_rmat_spec("24x16", 7);
   EXPECT_EQ(p.scale, 24u);

@@ -12,7 +12,7 @@
 //              hypercube|adversarial          (default forest)
 //   --graph    large-graph family spec, e.g. rmat:24x16 (2^24
 //              vertices, 16x directed pairs; --seed seeds the
-//              generator, --threads parallelizes the build) —
+//              generator, --threads parallelizes generation) —
 //              overrides --gen
 //   --input    edge-list file (overrides --gen)
 //   --load-bin binary edge-list file (edgelist_bin.hpp), ingested
