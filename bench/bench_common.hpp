@@ -73,40 +73,6 @@ inline std::size_t configure_engine_threads() {
     set_engine_sleep_hints(true);
     std::cout << "[engine: wake scheduling (sleep hints) enabled]\n";
   }
-  // VALOCAL_FRONTIER_MODE=auto|dense|sparse|calendar pins the engine's
-  // per-round frontier representation (default auto). Byte-identical
-  // results under every setting — a throughput knob for A/B runs and
-  // CI diffs, mirroring --frontier-mode in valocal_cli.
-  if (const char* env = std::getenv("VALOCAL_FRONTIER_MODE");
-      env != nullptr && *env != '\0') {
-    if (const auto mode = frontier_mode_from_name(env); mode.has_value()) {
-      set_engine_frontier_mode(*mode);
-      std::cout << "[engine: frontier mode " << frontier_mode_name(*mode)
-                << "]\n";
-    } else {
-      std::cerr << "VALOCAL_FRONTIER_MODE: unknown mode '" << env
-                << "' (want auto|dense|sparse|calendar)\n";
-      std::exit(2);
-    }
-  }
-  // VALOCAL_LAYOUT=auto|packed|aos pins the engine's state layout
-  // (SoA hot-field columns vs classic AoS buffers) for algorithms that
-  // declare a StatePack. Byte-identical results under every setting —
-  // a memory-placement knob for A/B runs, mirroring --layout in
-  // valocal_cli.
-  if (const char* env = std::getenv("VALOCAL_LAYOUT");
-      env != nullptr && *env != '\0') {
-    if (const auto layout = state_layout_from_name(env);
-        layout.has_value()) {
-      set_engine_state_layout(*layout);
-      std::cout << "[engine: state layout " << state_layout_name(*layout)
-                << "]\n";
-    } else {
-      std::cerr << "VALOCAL_LAYOUT: unknown layout '" << env
-                << "' (want auto|packed|aos)\n";
-      std::exit(2);
-    }
-  }
   configure_tracing();
   return threads;
 }
@@ -164,40 +130,6 @@ inline HSetComposition<WaitHeavySub> wait_heavy_composition(
     std::size_t n, const PartitionParams& params) {
   return HSetComposition<WaitHeavySub>(n, params, WaitHeavySub{});
 }
-
-/// Dense-regime engine workload: every vertex mixes neighbor state for
-/// a fixed prefix of rounds — the frontier stays the FULL vertex set,
-/// the regime the dense flat-scan representation targets — then all
-/// but a 1/64 tail terminate at once and the tail runs on to round 40,
-/// exercising the representation switch and the sparse path behind it.
-/// The hint is the trivial sound one (next round), so forcing the
-/// calendar mode runs the same schedule with an empty calendar.
-struct DensePhaseAlgo {
-  struct State {
-    std::uint64_t x = 1;
-  };
-  using Output = std::uint64_t;
-
-  void init(Vertex v, const Graph&, State& s) const { s.x = v + 1; }
-
-  bool step(Vertex v, std::size_t round, const RoundView<State>& view,
-            State& next, Xoshiro256&) const {
-    std::uint64_t mix = next.x * 0x9e3779b97f4a7c15ULL + round;
-    for (std::size_t i = 0; i < view.degree(); ++i)
-      mix += view.neighbor_state(i).x;
-    next.x = mix;
-    if (round < 8) return false;
-    return (v & 63) != 0 || round >= 40;
-  }
-
-  std::size_t next_wake(Vertex, std::size_t round, const State&) const {
-    return round + 1;
-  }
-
-  Output output(Vertex, const State& s) const { return s.x; }
-
-  static constexpr bool uses_rng = false;
-};
 
 /// Marks a failed validation; benches report it and exit nonzero.
 class ValidationTracker {

@@ -120,121 +120,6 @@ void BM_EngineWaitHeavyHinted(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineWaitHeavyHinted)->Arg(1 << 16);
 
-// Per-mode variants of the engine fixtures: the SECOND benchmark
-// argument is the numeric FrontierMode the run is pinned to (1 auto,
-// 2 dense, 3 sparse, 4 calendar — the FrontierMode values
-// scripts/perf_snapshot.py decodes from the fixture name). Outputs and
-// metrics are byte-identical across the four rows by the engine's
-// determinism contract (tests/test_frontier_engine.cpp); only
-// throughput differs, and the perf-smoke job fails if the auto row
-// falls more than 10% behind the best forced row on any fixture.
-// Family policy: ring and dense-phase run hints-off (pure frontier
-// cost), wait-heavy runs hints-on (so dense/calendar park sleepers
-// while forced sparse shows the no-calendar engine on the same run).
-FrontierMode mode_arg(const benchmark::State& state) {
-  return static_cast<FrontierMode>(state.range(1));
-}
-
-void BM_EngineRing3Mode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = ring(n);
-  const RingColoring3Algo algo(n);
-  std::uint64_t stepped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.frontier_mode = mode_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineRing3Mode)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 16, 4});
-
-void BM_EngineDensePhaseMode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = ring(n);
-  const bench::DensePhaseAlgo algo;
-  std::uint64_t stepped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.frontier_mode = mode_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineDensePhaseMode)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 16, 4});
-
-void BM_EngineWaitHeavyMode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = tree(n);
-  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
-  const auto algo = bench::wait_heavy_composition(n, params);
-  std::uint64_t stepped = 0;
-  std::uint64_t skipped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo,
-                            {.sleep_hints = SleepHints::kOn,
-                             .frontier_mode = mode_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    skipped = result.metrics.skipped_steps;
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.counters["skipped"] = static_cast<double>(skipped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineWaitHeavyMode)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 16, 4});
-
-// Layout fixture pair: the SECOND argument is the numeric StateLayout
-// the run is pinned to (2 packed, 3 aos — the StateLayout values
-// scripts/perf_snapshot.py decodes from the fixture name). ring3
-// declares a StatePack, so the two rows A/B the SoA hot columns
-// against the classic AoS buffers on the same workload; outputs and
-// metrics are byte-identical by the determinism contract
-// (tests/test_frontier_engine.cpp), and the perf-smoke job fails if
-// the packed row falls below the AoS row on any layout fixture. The
-// 2^20 ring leaves cache, where the packed working set (12 hot bytes
-// per vertex vs the 16-byte State) is the measured difference.
-StateLayout layout_arg(const benchmark::State& state) {
-  return static_cast<StateLayout>(state.range(1));
-}
-
-void BM_EngineRing3Layout(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = ring(n);
-  const RingColoring3Algo algo(n);
-  std::uint64_t stepped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.layout = layout_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineRing3Layout)
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 20, 2})
-    ->Args({1 << 20, 3});
-
 // Calendar-queue microbenchmark: schedule n vertices across a 64-round
 // horizon and drain bucket by bucket — the two operations the wake
 // path adds to every engine round. items_per_second = vertices

@@ -60,46 +60,39 @@ else
   echo "python3 unavailable; skipping trace JSON validation"
 fi
 
-# Frontier-mode smoke: the same run under every forced representation
-# and the auto switch must print identical semantic metrics through the
-# real CLI path (test_frontier_engine proves the byte-level contract
-# in-process; this guards the flag plumbing). wall-ms is the one
-# nondeterministic field on the line, so strip it before diffing.
-echo "--- frontier-mode smoke ---"
-for mode in auto dense sparse calendar; do
-  build/tools/valocal_cli --gen adversarial --n 20000 --algo ka2 \
-    --threads 2 --sleep-hints --frontier-mode "$mode" \
-    | grep '^rounds:' | sed 's/ wall-ms=.*//' \
-    > "trace_output/frontier_$mode.txt"
+# Engine-axes smoke: run_local's results are byte-identical across
+# thread counts and sleep hints (test_frontier_engine pins the golden
+# checksums in-process; this guards the CLI plumbing). The same ka2 run
+# at 1 and 4 threads, with and without --sleep-hints, must print the
+# same semantic metrics line; wall-ms is the one nondeterministic field
+# on it, so strip it before diffing. The retired --frontier-mode and
+# --layout flags must be rejected as unknown.
+echo "--- engine-axes smoke ---"
+for threads in 1 4; do
+  for hints in off on; do
+    hint_flag=""
+    [ "$hints" = on ] && hint_flag="--sleep-hints"
+    build/tools/valocal_cli --gen adversarial --n 20000 --algo ka2 \
+      --threads "$threads" $hint_flag \
+      | grep '^rounds:' | sed 's/ wall-ms=.*//' \
+      > "trace_output/axes_t${threads}_$hints.txt"
+  done
 done
-for mode in dense sparse calendar; do
-  cmp trace_output/frontier_auto.txt "trace_output/frontier_$mode.txt" || {
-    echo "frontier-mode smoke: --frontier-mode $mode changed the metrics"
+for run in t1_on t4_off t4_on; do
+  cmp trace_output/axes_t1_off.txt "trace_output/axes_$run.txt" || {
+    echo "engine-axes smoke: $run changed the metrics"
     exit 1
   }
 done
-echo "frontier-mode smoke: metrics identical across auto/dense/sparse/calendar"
-
-# State-layout smoke: the same run under the packed SoA columns, forced
-# AoS, and the auto default must print identical semantic metrics
-# through the real CLI path (test_frontier_engine and test_registry
-# prove the byte-level contract in-process across every spec; this
-# guards the --layout flag plumbing). ring3 declares a StatePack, so
-# packed vs aos genuinely exercises both storage layouts.
-echo "--- state-layout smoke ---"
-for layout in auto packed aos; do
-  build/tools/valocal_cli --gen ring --n 65536 --algo ring3 \
-    --threads 2 --layout "$layout" \
-    | grep '^rounds:' | sed 's/ wall-ms=.*//' \
-    > "trace_output/layout_$layout.txt"
-done
-for layout in packed aos; do
-  cmp trace_output/layout_auto.txt "trace_output/layout_$layout.txt" || {
-    echo "state-layout smoke: --layout $layout changed the metrics"
+for flag in "--frontier-mode dense" "--layout aos"; do
+  # shellcheck disable=SC2086
+  if build/tools/valocal_cli --gen ring --n 64 --algo ring3 $flag \
+      >/dev/null 2>&1; then
+    echo "engine-axes smoke: retired flag '$flag' was accepted"
     exit 1
-  }
+  fi
 done
-echo "state-layout smoke: metrics identical across auto/packed/aos"
+echo "engine-axes smoke: metrics identical across threads x sleep hints"
 
 # Registry smoke: --list-algos must enumerate the catalog, and every
 # registered algorithm must run and VALIDATE on a tiny graph through
@@ -171,6 +164,23 @@ if echo 'int main(){}' | c++ -fsanitize=thread -x c++ - -o /tmp/valocal_tsan_pro
     2>&1 | tee tsan_output.txt
 else
   echo "ThreadSanitizer unavailable; skipping TSan job" | tee tsan_output.txt
+fi
+
+# AddressSanitizer + UndefinedBehaviorSanitizer job: rebuild the
+# engine suites, the registry sweep and the determinism suite with
+# -DVALOCAL_SANITIZE=address,undefined and run them. UBSAN_OPTIONS makes
+# the first undefined-behavior report fail the test. Skipped gracefully
+# where the sanitizer runtimes are absent.
+if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
+  rm -f /tmp/valocal_asan_probe
+  cmake -B build-asan -G Ninja -DVALOCAL_SANITIZE=address,undefined
+  cmake --build build-asan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_determinism
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure \
+    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_determinism' \
+    2>&1 | tee asan_output.txt
+else
+  echo "ASan+UBSan unavailable; skipping the job" | tee asan_output.txt
 fi
 
 # The scaling bench's graph-substrate section generates an RMAT

@@ -54,9 +54,9 @@ struct PartitionState {
 
 /// Number of neighbors of v that are active (hset == 0) in the previous
 /// round's snapshot — i.e., neighbors in the same or a later H-set if v
-/// joins this round. Generic over the view (AoS or packed layout).
-template <class View>
-std::size_t active_neighbor_count(const View& view) {
+/// joins this round.
+template <class State>
+std::size_t active_neighbor_count(const RoundView<State>& view) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < view.degree(); ++i)
     if (view.neighbor_state(i).hset == 0) ++count;
@@ -65,9 +65,9 @@ std::size_t active_neighbor_count(const View& view) {
 
 /// One partition step for an embedded state machine: returns the H-set
 /// index (== round) if the vertex joins this round, 0 otherwise.
-template <class View>
+template <class State>
 std::int32_t partition_try_join(std::size_t partition_round,
-                                const View& view,
+                                const RoundView<State>& view,
                                 std::size_t threshold) {
   if (active_neighbor_count(view) <= threshold)
     return static_cast<std::int32_t>(partition_round);

@@ -70,12 +70,6 @@ struct Metrics {
   // with sleep hints off. Simulator-cost accounting only: the skipped
   // steps are provably no-ops, so no semantic field depends on this.
   std::uint64_t skipped_steps = 0;
-  // Times run_local's per-round dispatch changed frontier
-  // representation (dense flat scan <-> sparse list / calendar). Like
-  // skipped_steps this is simulator-cost accounting: the representation
-  // schedule never affects outputs, r(v), or active_per_round. Always 0
-  // under a forced --frontier-mode and for the mailbox engine.
-  std::uint64_t frontier_switches = 0;
   // Vertices parked in the calendar queue in round i+1 (so
   // awake_i = active_per_round[i] - parked_per_round[i]). Filled only
   // by wake-scheduled run_local; empty means nothing was parked.

@@ -29,34 +29,13 @@
 // serially, so no reader can observe an in-progress copy. See
 // docs/MODEL.md ("Engine memory layout & batching").
 //
-// Frontier representations (RunOptions::frontier_mode). The per-round
-// dispatch switches between three ways of enumerating the awake set on
-// a measured threshold — the dense-then-sparse active profile of the
-// paper's algorithms is exactly the shape where one representation
-// loses:
-//
-//   dense    — index-order walk of the awake bitset (one bit per
-//              vertex, kept in lockstep with the authoritative
-//              `inactive` byte array; `committed` stays a contiguous
-//              byte array for sequential scans). Zero active-list
-//              maintenance, a fully dormant 64-vertex block costs one
-//              load; chosen when awake/n >= 1/4.
-//   sparse   — the sorted active list: per-chunk survivor lists merged
-//              in ascending-vertex chunk order, exactly the serial
-//              iteration.
-//   calendar — the sparse list plus the wake calendar
-//              (sim/wake_calendar.hpp) parking vertices whose
-//              next_wake() hint names a future round; per-round cost
-//              O(awake + newly-woken).
-//
-// `auto` picks dense above the threshold and otherwise
-// calendar-or-sparse (calendar iff sleep hints are armed); a switch is
-// a cheap comparison on the maintained awake count, not a rebuild —
-// only a dense->list transition pays one O(n) scan to rebuild the
-// list. The representation schedule is a pure function of the awake
-// counts, which are schedule-independent, so forcing any mode (tests,
-// CI diffs) or letting auto switch yields byte-identical outputs,
-// r(v), active_per_round, and RNG streams.
+// Frontier. The awake set is one bit per vertex (`awake_words`), and
+// every round walks it word by word in index order: a fully dormant
+// 64-vertex block costs one load, and the set-bit walk steps the awake
+// vertices in ascending order — exactly the serial iteration, for any
+// chunking. Bits are cleared at the round barrier when a vertex
+// terminates or parks and set again by the wake calendar, so a round
+// costs O(awake + n/64) with no list to maintain.
 //
 // Wake scheduling (opt-in, see WakeHinted / RunOptions::sleep_hints).
 // Algorithms whose vertices idle until a precomputed round — block
@@ -65,23 +44,9 @@
 // queue (sim/wake_calendar.hpp) and skips their no-op steps. A parked
 // vertex is exactly the terminated-vertex path generalized to "until
 // round T": its published state freezes into both buffers, then it
-// rejoins the frontier. Parking works in dense mode too (sleepers'
-// awake bits are cleared, so the word scan skips them for free).
-// Results are byte-identical to the
-// unhinted engine; Metrics::skipped_steps and the trace `asleep` field
-// record the simulator work saved.
-//
-// State layout (opt-in, see sim/state_pack.hpp / RunOptions::layout).
-// Algorithms may declare a StatePack descriptor naming their published
-// fields; the engine then stores the hot fields in per-field
-// double-buffered flat columns (SoA) instead of the AoS State arrays:
-// the packed dense scan bulk-memcpys each hot column's live word
-// ranges as carry-forward (on top of the shared bitset walk), the
-// freeze-at-barrier publication copies only packed fields, and reads
-// go through struct-of-reference proxies so the same (templated)
-// step() compiles against either layout. Unpacked algorithms keep the
-// AoS path unchanged; both layouts are byte-identical in outputs,
-// r(v), active_per_round, and RNG streams.
+// rejoins the frontier (its awake bit is set again). Results are
+// byte-identical to the unhinted engine; Metrics::skipped_steps and the
+// trace `asleep` field record the simulator work saved.
 //
 // Algorithm interface (duck-typed; see LocalAlgorithm below):
 //
@@ -104,21 +69,18 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <iterator>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
-#include "sim/state_pack.hpp"
 #include "sim/wake_calendar.hpp"
 #include "trace/trace.hpp"
 #include "util/assertx.hpp"
@@ -127,26 +89,6 @@
 
 namespace valocal {
 
-/// Default (AoS) state access for RoundView: the read side is a dense
-/// State array and a read is one indexed load.
-template <class State>
-struct AosStateAccess {
-  using Handle = const State*;
-  using CRef = const State&;
-  static CRef at(Handle read, Vertex v) { return read[v]; }
-};
-
-/// Packed (SoA) state access: the read side is the pack's bundle of
-/// per-field column pointers; a read materializes the algorithm's CRef
-/// proxy (a struct of references), so only the fields the step
-/// actually dereferences cost a load.
-template <class Pack>
-struct PackedStateAccess {
-  using Handle = typename Pack::CPtrs;
-  using CRef = typename Pack::CRef;
-  static CRef at(const Handle& read, Vertex v) { return Pack::cref(read, v); }
-};
-
 /// Read-only window onto the previous round: own state plus the states
 /// of the (radius-1) neighborhood. Backed by the engine's double
 /// buffer: during round r the read side is buffer (r-1) mod 2, and the
@@ -154,16 +96,10 @@ struct PackedStateAccess {
 /// at its last round's barrier, so one indexed load suffices for any
 /// vertex — active, parked, or terminated. One view is constructed per
 /// work chunk and rebound per vertex; it never owns or copies state.
-/// The Access policy abstracts the buffer layout (AoS State array vs
-/// packed per-field columns, see sim/state_pack.hpp); the default
-/// keeps the classic `RoundView<State>` spelling and semantics.
-template <class State, class Access = AosStateAccess<State>>
+template <class State>
 class RoundView {
  public:
-  using Handle = typename Access::Handle;
-  using StateRef = typename Access::CRef;
-
-  RoundView(const Graph& g, const Handle& read_buf)
+  RoundView(const Graph& g, const State* read_buf)
       : graph_(&g), read_(read_buf) {}
 
   std::size_t degree() const { return nbrs_.size(); }
@@ -176,8 +112,8 @@ class RoundView {
 
   Vertex neighbor(std::size_t i) const { return nbrs_[i]; }
 
-  StateRef neighbor_state(std::size_t i) const {
-    return Access::at(read_, nbrs_[i]);
+  const State& neighbor_state(std::size_t i) const {
+    return read_[nbrs_[i]];
   }
 
   /// Port of the shared edge within neighbor i's incident list — lets
@@ -187,13 +123,13 @@ class RoundView {
   }
 
   /// State of a specific neighbor u (debug-checked to be adjacent).
-  StateRef state_of(Vertex u) const {
+  const State& state_of(Vertex u) const {
     VALOCAL_DCHECK(graph_->has_edge(v_, u),
                    "LOCAL violation: reading a non-neighbor's state");
-    return Access::at(read_, u);
+    return read_[u];
   }
 
-  StateRef self() const { return Access::at(read_, v_); }
+  const State& self() const { return read_[v_]; }
 
   /// Engine-internal: retarget the view at another vertex (run_local
   /// hoists view construction out of the per-vertex loop). Caches the
@@ -208,7 +144,7 @@ class RoundView {
 
  private:
   const Graph* graph_;
-  Handle read_;
+  const State* read_;
   Vertex v_ = 0;
   std::span<const Vertex> nbrs_{};
 };
@@ -347,66 +283,16 @@ inline void set_engine_sleep_hints(bool enabled) {
 
 inline bool engine_sleep_hints() { return detail_engine_sleep_hints(); }
 
-/// Per-round frontier representation policy (see the file comment and
-/// RunOptions::frontier_mode). kAuto switches on the measured
-/// awake-fraction threshold; the forced modes pin one representation
-/// for every round so tests and CI can diff them. Forcing kSparse also
-/// disarms wake-calendar parking (that is what distinguishes it from
-/// kCalendar); forcing kDense keeps parking armed — sleepers are
-/// skipped by byte test in the flat scan. All settings are
-/// byte-identical in outputs, r(v), active_per_round, and RNG streams.
-enum class FrontierMode : std::uint8_t {
-  kInherit = 0,  // RunOptions only: follow the process-wide default
-  kAuto = 1,
-  kDense = 2,
-  kSparse = 3,
-  kCalendar = 4,
-};
-
-inline const char* frontier_mode_name(FrontierMode mode) {
-  switch (mode) {
-    case FrontierMode::kAuto:
-      return "auto";
-    case FrontierMode::kDense:
-      return "dense";
-    case FrontierMode::kSparse:
-      return "sparse";
-    case FrontierMode::kCalendar:
-      return "calendar";
-    case FrontierMode::kInherit:
-      break;
-  }
-  return "inherit";
-}
-
-/// Parses the --frontier-mode / VALOCAL_FRONTIER_MODE spelling; empty
-/// optional on an unknown name.
-inline std::optional<FrontierMode> frontier_mode_from_name(
-    std::string_view name) {
-  if (name == "auto") return FrontierMode::kAuto;
-  if (name == "dense") return FrontierMode::kDense;
-  if (name == "sparse") return FrontierMode::kSparse;
-  if (name == "calendar") return FrontierMode::kCalendar;
-  return std::nullopt;
-}
-
-/// Process-wide default frontier mode, consulted by runs whose
-/// RunOptions::frontier_mode is kInherit. kAuto by default; tools and
-/// benches set it once from --frontier-mode / VALOCAL_FRONTIER_MODE,
-/// mirroring set_engine_threads().
-inline FrontierMode& detail_engine_frontier_mode() {
-  static FrontierMode mode = FrontierMode::kAuto;
-  return mode;
-}
-
-inline void set_engine_frontier_mode(FrontierMode mode) {
-  detail_engine_frontier_mode() =
-      mode == FrontierMode::kInherit ? FrontierMode::kAuto : mode;
-}
-
-inline FrontierMode engine_frontier_mode() {
-  return detail_engine_frontier_mode();
-}
+// Compatibility shim: perfbench/perfbench.cpp still pins and echoes
+// the retired frontier-mode and state-layout knobs. The engine has one
+// frontier and one layout, so each knob keeps a single value and its
+// setter does nothing. The next change to the benchmark drops these.
+enum class FrontierMode : std::uint8_t { kAuto };
+enum class StateLayout : std::uint8_t { kAuto };
+inline void set_engine_frontier_mode(FrontierMode) {}
+inline void set_engine_state_layout(StateLayout) {}
+inline const char* frontier_mode_name(FrontierMode) { return "auto"; }
+inline const char* state_layout_name(StateLayout) { return "auto"; }
 
 struct RunOptions {
   std::uint64_t seed = 0x5eedULL;
@@ -430,31 +316,18 @@ struct RunOptions {
   /// Wake scheduling: when enabled and the algorithm satisfies
   /// WakeHinted, vertices whose next_wake hint names a future round
   /// are parked in a calendar queue and their no-op steps skipped —
-  /// per-round simulator cost drops from O(active) to
-  /// O(awake + newly-woken). Semantics are byte-for-byte unchanged
+  /// their awake bits stay clear, so the word scan passes over them.
+  /// Semantics are byte-for-byte unchanged
   /// (outputs, r(v), active_per_round, RNG streams, semantic trace
   /// fields); sleepers still count as active in active_per_round —
   /// they ARE running in the LOCAL model, only the simulator skips
   /// them. Metrics::skipped_steps records the saved work.
   SleepHints sleep_hints = SleepHints::kInherit;
-  /// Frontier representation policy: kInherit follows the process-wide
-  /// default (set_engine_frontier_mode(), initially kAuto). Purely a
-  /// simulator-cost knob — every setting is byte-identical (see
-  /// FrontierMode).
-  FrontierMode frontier_mode = FrontierMode::kInherit;
-  /// State layout policy: kInherit follows the process-wide default
-  /// (set_engine_state_layout(), initially kAuto = packed whenever the
-  /// algorithm declares a StatePack, see sim/state_pack.hpp). Purely a
-  /// memory-placement knob — every setting is byte-identical in
-  /// outputs, r(v), active_per_round, and RNG streams; forcing kAos on
-  /// a packed algorithm runs the classic AoS engine for A/B diffs.
-  StateLayout layout = StateLayout::kInherit;
   /// Materialize RunResult::final_states (every vertex's post-run
   /// State). Off by default: outputs + metrics are the production
-  /// surface, and a packed run would otherwise pay a full column
-  /// gather pass — one extra sweep of all state per run — just to
-  /// fill a vector nothing reads. Purely a result-shape knob; has no
-  /// effect on outputs, r(v), or any semantic metric.
+  /// surface, and the moved-out buffer would otherwise keep a full
+  /// State array alive that nothing reads. Purely a result-shape knob;
+  /// has no effect on outputs, r(v), or any semantic metric.
   bool want_final_states = false;
 };
 
@@ -468,13 +341,6 @@ struct RunResult {
 
 namespace detail_engine {
 
-/// Awake-fraction threshold for kAuto: dense when awake/n >= 1/4.
-/// Below it the flat scan reads >= 4 dormancy bytes per useful step,
-/// and the sparse list wins (measured on the ring and dense-phase
-/// fixtures; the exact constant is not load-bearing for correctness —
-/// the representation schedule is deterministic for any value).
-inline constexpr std::size_t kDenseFractionDenominator = 4;
-
 /// Reusable per-thread engine workspace. Everything run_local allocates
 /// that does NOT escape into the RunResult lives here, so repeated runs
 /// on the same thread — a batch worker draining same-graph trials, a
@@ -486,23 +352,14 @@ inline constexpr std::size_t kDenseFractionDenominator = 4;
 template <class State>
 struct EngineScratch {
   std::vector<State> buf1;
-  /// Structure-of-arrays dormancy bytes: 0 awake, 1 parked, 2
-  /// terminated. Authoritative; the sparse rebuild and wake logic
-  /// read it.
-  std::vector<std::uint8_t> inactive;
-  /// Bitset mirror of `inactive`: one awake bit per vertex, so both
-  /// layouts' dense scans test 64 vertices per load and a fully
-  /// dormant block costs nothing. Maintained serially (wake phase and
-  /// round barrier only). `committed` deliberately stays a byte array
-  /// — distinct vertices stamp it concurrently from worker threads,
-  /// which a shared-word bitset cannot support without atomics.
+  /// The frontier: one awake bit per vertex. Maintained serially (wake
+  /// phase and round barrier only). `committed` deliberately stays a
+  /// byte array — distinct vertices stamp it concurrently from worker
+  /// threads, which a shared-word bitset cannot support without
+  /// atomics.
   std::vector<std::uint64_t> awake_words;
   std::vector<std::uint8_t> committed;
   std::vector<Xoshiro256> rng;
-  std::vector<Vertex> active;
-  std::vector<Vertex> still_active;
-  std::vector<Vertex> merged;
-  std::vector<std::vector<Vertex>> chunk_active;
   /// Per-chunk dormancy deltas: (v, wake_round), wake_round == 0
   /// meaning terminated (real wake rounds are always > the current
   /// round, hence nonzero). Applied at the barrier in chunk order.
@@ -542,53 +399,42 @@ class ScratchLease {
   EngineScratch<State> fallback_;
 };
 
-/// Thread-local packed-column store, leased exactly like EngineScratch
-/// (same reuse across batch trials, same nested-run fallback). Keyed by
-/// the pack type — two algorithms sharing a State type never alias —
-/// and a no-op for NoStatePack, whose Store is empty.
-template <class Pack>
-struct PackedScratch {
-  typename Pack::Store store;
-  bool in_use = false;
-};
-
-template <class Pack>
-class PackedScratchLease {
- public:
-  PackedScratchLease() {
-    thread_local PackedScratch<Pack> scratch;
-    if (!scratch.in_use) {
-      scratch.in_use = true;
-      leased_ = &scratch;
-    }
-  }
-  ~PackedScratchLease() {
-    if (leased_ != nullptr) leased_->in_use = false;
-  }
-  PackedScratchLease(const PackedScratchLease&) = delete;
-  PackedScratchLease& operator=(const PackedScratchLease&) = delete;
-
-  PackedScratch<Pack>& operator*() {
-    return leased_ != nullptr ? *leased_ : fallback_;
-  }
-
- private:
-  PackedScratch<Pack>* leased_ = nullptr;
-  PackedScratch<Pack> fallback_;
-};
-
-/// The layout-independent back half of step_one: runs the algorithm's
-/// step against the already-carried next-slot reference (State& for
-/// AoS, the pack's Ref proxy for packed) and stages the verdict's side
-/// effects. Split out so step_one can pick the slot reference with
-/// plain if-constexpr blocks instead of a closure.
-template <LocalAlgorithm A, class View, class NextRef>
-[[gnu::always_inline]] inline bool step_verdict(
-    const A& algo, std::size_t round, Vertex v, View& view, NextRef& next,
-    Xoshiro256& vertex_stream, std::uint8_t* committed,
+/// Steps one awake vertex and stages its side effects: termination and
+/// parking are recorded as chunk-local dormancy deltas and applied at
+/// the round barrier. Deliberately a free function with explicit
+/// parameters, not a capturing lambda: the capture struct defeats
+/// scalar replacement and costs ~20% on step-light workloads, while
+/// explicit arguments inline cleanly into the word scan.
+template <LocalAlgorithm A>
+[[gnu::always_inline]] inline void step_one(
+    const A& algo, const Graph& g, std::size_t round, Vertex v,
+    RoundView<typename A::State>& view, const typename A::State* read,
+    typename A::State* write, std::uint8_t* committed,
     std::vector<typename A::Output>& outputs, std::uint32_t* rounds_out,
-    bool parking, trace::ChunkCounters* counters,
+    Xoshiro256* rng_streams, Xoshiro256& null_rng, bool parking,
+    trace::ChunkCounters* counters,
     std::vector<std::pair<Vertex, std::size_t>>& dormant) {
+  using State = typename A::State;
+  Xoshiro256& vertex_stream = [&]() -> Xoshiro256& {
+    if constexpr (algorithm_uses_rng<A>)
+      return rng_streams[v];
+    else
+      return null_rng;
+  }();
+  if (counters != nullptr) {
+    if (!committed[v]) {
+      ++counters->charged;
+      if constexpr (trace::PhaseTraced<A>)
+        ++counters->phase_charged[algo.trace_phase_of(v, round, read[v])];
+    }
+    counters->volume_bytes +=
+        static_cast<std::uint64_t>(sizeof(State)) * g.degree(v);
+  }
+  view.rebind(v);
+  // Carry the last published state forward into this round's write
+  // slot, then step against it.
+  State& next = write[v];
+  next = read[v];
   StepResult verdict;
   if constexpr (std::is_same_v<decltype(algo.step(v, round, view, next,
                                                   vertex_stream)),
@@ -608,7 +454,7 @@ template <LocalAlgorithm A, class View, class NextRef>
   if (verdict == StepResult::kTerminate) {
     if (counters != nullptr) ++counters->terminated;
     dormant.emplace_back(v, 0);
-    return false;
+    return;
   }
   if constexpr (WakeHinted<A>) {
     // Park a continuing vertex whose hint names a future round. Hints
@@ -616,106 +462,49 @@ template <LocalAlgorithm A, class View, class NextRef>
     // mutate state every round.
     if (parking && verdict == StepResult::kContinue) {
       const std::size_t wake = algo.next_wake(v, round, next);
-      if (wake > round + 1) {
-        dormant.emplace_back(v, wake);
-        return false;
-      }
+      if (wake > round + 1) dormant.emplace_back(v, wake);
     }
   }
-  return true;
 }
 
-/// Steps one vertex and stages its side effects; returns true iff the
-/// vertex stays on the frontier (termination and parking are recorded
-/// as chunk-local dormancy deltas and applied at the round barrier).
-/// Deliberately a free function with explicit parameters, not a
-/// capturing lambda shared by the dense and sparse loops: the capture
-/// struct defeats scalar replacement and costs ~20% on step-light
-/// workloads, while explicit arguments inline cleanly into both loops.
+}  // namespace detail_engine
+
+/// Runs `algo` on `g` to completion and returns outputs plus metrics.
 ///
-/// Layout-generic: PackT = NoStatePack reads/writes whole State slots
-/// (read/write are the State arrays); a real pack reads/writes through
-/// per-field column pointers (read/write are the pack's CPtrs/Ptrs
-/// bundles). kHotCarried marks callers that already bulk-copied the
-/// hot columns for this vertex's range (the packed dense scan), so
-/// only the cold slot still needs carrying here.
-template <class PackT, bool kHotCarried, LocalAlgorithm A, class View,
-          class ReadP, class WriteP>
-[[gnu::always_inline]] inline bool step_one(
-    const A& algo, const Graph& g, std::size_t round, Vertex v,
-    View& view, const ReadP& read, const WriteP& write,
-    std::uint8_t* committed, std::vector<typename A::Output>& outputs,
-    std::uint32_t* rounds_out, Xoshiro256* rng_streams,
-    Xoshiro256& null_rng, bool parking, trace::ChunkCounters* counters,
-    std::vector<std::pair<Vertex, std::size_t>>& dormant) {
-  using State = typename A::State;
-  constexpr bool kPacked = !std::is_same_v<PackT, NoStatePack>;
-  Xoshiro256& vertex_stream = [&]() -> Xoshiro256& {
-    if constexpr (algorithm_uses_rng<A>)
-      return rng_streams[v];
-    else
-      return null_rng;
-  }();
-  if (counters != nullptr) {
-    if (!committed[v]) {
-      ++counters->charged;
-      if constexpr (trace::PhaseTraced<A>) {
-        if constexpr (kPacked)
-          ++counters->phase_charged[
-              algo.trace_phase_of(v, round, PackT::cref(read, v))];
-        else
-          ++counters->phase_charged[
-              algo.trace_phase_of(v, round, read[v])];
-      }
-    }
-    // volume_bytes stays sizeof(State)-scaled in BOTH layouts: it is a
-    // semantic field (LOCAL-model publication volume) covered by the
-    // cross-layout byte-identity contract. The layout-dependent
-    // packed_bytes derived from it is reported separately.
-    counters->volume_bytes +=
-        static_cast<std::uint64_t>(sizeof(State)) * g.degree(v);
-  }
-  view.rebind(v);
-  // Carry the last published state forward into this round's write
-  // slot, then step against the layout's own next-slot reference.
-  // The layout split lives up here as plain if-constexpr blocks — no
-  // closures: an immediately-invoked lambda returning the slot ref
-  // gets outlined by GCC in large instantiations, and its by-ref
-  // captures then escape, costing the whole surrounding loop its
-  // scalar replacement (see the sparse-loop note below).
-  if constexpr (kPacked) {
-    if constexpr (!kHotCarried) PackT::copy_hot(write, read, v);
-    PackT::copy_cold(write, read, v);
-    auto next = PackT::ref(write, v);
-    return step_verdict(algo, round, v, view, next, vertex_stream,
-                        committed, outputs, rounds_out, parking, counters,
-                        dormant);
-  } else {
-    State& next = write[v];
-    next = read[v];
-    return step_verdict(algo, round, v, view, next, vertex_stream,
-                        committed, outputs, rounds_out, parking, counters,
-                        dormant);
-  }
-}
-
-/// Layout-generic engine body shared by the AoS and packed paths.
-/// PackT = NoStatePack compiles to exactly the classic AoS engine
-/// (every packed operation sits behind `if constexpr`); a real pack
-/// stores the hot published fields in per-field double-buffered flat
-/// columns (see sim/state_pack.hpp), scans the dense frontier through
-/// a 64-vertex-per-word awake bitset with bulk per-column
-/// carry-forward, and freezes dormant vertices by copying only their
-/// packed fields. Both instantiations run the same frontier logic, the
-/// same barrier order, and the same RNG stream discipline, which is
-/// what makes the layouts byte-identical.
-template <class PackT, LocalAlgorithm A>
-RunResult<A> run_local_impl(const Graph& g, const A& algo,
-                            const RunOptions& opt) {
+/// Determinism contract. For fixed (graph, algorithm, seed), outputs,
+/// final_states, Metrics::rounds, Metrics::active_per_round and
+/// Metrics::parked_per_round are byte-identical for every
+/// num_threads/grain combination: each awake vertex is stepped exactly
+/// once per round against the previous round's buffer with its own RNG
+/// stream, every per-vertex write (next state, r(v), committed output,
+/// dormancy freeze) lands in a slot only that vertex touches, and
+/// dormancy deltas are applied at the barrier in ascending-vertex
+/// chunk order — so the chunked word scan reproduces exactly the
+/// serial ascending-vertex iteration.
+///
+/// Output freezing. The first round in which a vertex returns kCommit
+/// or kTerminate fixes BOTH r(v) and its output: the engine snapshots
+/// algo.output(v, ·) on that round's staged state. A committed vertex
+/// may keep computing and relaying (kCommit), but nothing it does
+/// afterwards can alter the recorded output.
+///
+/// Observability. When a trace sink is installed (trace::set_sink —
+/// the slot is thread-local; the engine consults the calling thread's),
+/// the engine reports one RoundEvent per round — active / charged /
+/// committed / terminated counts, published-state volume
+/// (sizeof(State) * degree summed over stepped vertices) and, for
+/// algorithms satisfying trace::PhaseTraced, per-phase charged counts —
+/// plus run begin/end events carrying the pool's worker-load counters.
+/// All trace fields except wall_ns are sums over the round's vertex set
+/// and therefore covered by the determinism contract above. With no
+/// sink installed (the default) the tracing path reduces to one
+/// null-pointer test per vertex.
+template <LocalAlgorithm A>
+RunResult<A> run_local(const Graph& g, const A& algo,
+                       RunOptions opt = {}) {
   using State = typename A::State;
   using Output = typename A::Output;
   using Clock = std::chrono::steady_clock;
-  constexpr bool kPacked = !std::is_same_v<PackT, NoStatePack>;
   static_assert(std::is_default_constructible_v<Output>,
                 "run_local stores outputs in a dense array; Output must "
                 "be default-constructible");
@@ -725,38 +514,19 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   result.metrics.rounds.assign(n, 0);
 
   // Thread-local workspace: non-escaping buffers keep their capacity
-  // across runs (see EngineScratch / PackedScratch).
-  ScratchLease<State> lease;
-  EngineScratch<State>& ws = *lease;
-  PackedScratchLease<PackT> pack_lease;
-  typename PackT::Store& pack = (*pack_lease).store;
+  // across runs (see EngineScratch).
+  detail_engine::ScratchLease<State> lease;
+  detail_engine::EngineScratch<State>& ws = *lease;
 
   // The double buffer (see file comment). init() is round 0's
-  // publication: every vertex publishes into buffer 0. AoS: buf0 is
-  // freshly constructed — init() may assume a default State — and
-  // escapes as final_states; buf1 is pooled (never read before
-  // whole-object assignment). Packed: init() runs on a fresh State
-  // per vertex and is scattered into side 0's columns; side 1 is
-  // pooled under the same never-read-before-carry argument, and
-  // final_states (when requested) are gathered back out of the
-  // columns at the end.
-  std::vector<State> buf0;
-  State* bufs[2] = {nullptr, nullptr};
-  if constexpr (kPacked) {
-    pack.resize(n);
-    const auto init_ptrs = PackT::ptrs(pack, 0);
-    for (Vertex v = 0; v < n; ++v) {
-      State s{};
-      algo.init(v, g, s);
-      PackT::scatter(init_ptrs, v, s);
-    }
-  } else {
-    buf0.resize(n);
-    ws.buf1.resize(n);
-    for (Vertex v = 0; v < n; ++v) algo.init(v, g, buf0[v]);
-    bufs[0] = buf0.data();
-    bufs[1] = ws.buf1.data();
-  }
+  // publication: every vertex publishes into buffer 0. buf0 is freshly
+  // constructed — init() may assume a default State — and escapes as
+  // final_states; buf1 is pooled (never read before whole-object
+  // assignment).
+  std::vector<State> buf0(n);
+  ws.buf1.resize(n);
+  for (Vertex v = 0; v < n; ++v) algo.init(v, g, buf0[v]);
+  State* const bufs[2] = {buf0.data(), ws.buf1.data()};
 
   // Per-vertex RNG streams — skipped wholesale for algorithms that
   // declare uses_rng = false (the streams would never be drawn from).
@@ -767,25 +537,11 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
     for (Vertex v = 0; v < n; ++v) rng.push_back(vertex_rng(opt.seed, v));
   }
 
-  // Frontier state (see file comment). The byte array is authoritative;
-  // the sparse list mirrors it only while list rounds run — a dense
-  // round invalidates it, and the first list round after a dense run
-  // rebuilds it with one O(n) scan. The awake bitset stays in lockstep
-  // (one bit per vertex, maintained at the same serial points as the
-  // byte array): both layouts' dense scans walk it word by word, so a
-  // fully dormant 64-vertex block costs one load — the byte-at-a-time
-  // skip loop it replaces paid a taken branch per dormant vertex, and
-  // GCC's block layout made that two taken branches in the big
-  // composed-algorithm instantiations (~2x on park-heavy dense runs).
-  auto& inactive = ws.inactive;
-  inactive.assign(n, 0);
+  // The frontier (see file comment): every vertex starts awake.
   auto& awake_words = ws.awake_words;
   awake_words.assign((n + 63) / 64, ~0ULL);
   if ((n & 63) != 0) awake_words.back() = ~0ULL >> (64 - (n & 63));
   std::size_t awake_count = n;
-  auto& active = ws.active;
-  active.clear();
-  bool list_valid = false;
 
   const std::size_t cap =
       opt.max_rounds != 0 ? opt.max_rounds : 64 * n + 100000;
@@ -797,28 +553,15 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
 
   // Wake scheduling: compile-time capability (WakeHinted) gated by the
   // per-run / process-wide toggle. With hints off (or an unhinted
-  // algorithm) the calendar stays empty and every path below reduces
-  // to the original engine.
-  bool sleep_hints = false;
+  // algorithm) the calendar stays empty.
+  bool parking = false;
   if constexpr (WakeHinted<A>) {
-    sleep_hints =
+    parking =
         opt.sleep_hints == SleepHints::kOn ||
         (opt.sleep_hints == SleepHints::kInherit && engine_sleep_hints());
   }
-  FrontierMode forced = opt.frontier_mode != FrontierMode::kInherit
-                            ? opt.frontier_mode
-                            : engine_frontier_mode();
-  if (forced == FrontierMode::kInherit) forced = FrontierMode::kAuto;
-  // Parking is armed by the sleep-hint toggle and survives dense rounds
-  // (the flat scan skips sleepers); only forcing kSparse disarms it —
-  // that forced mode IS the no-calendar engine.
-  const bool parking = sleep_hints && forced != FrontierMode::kSparse;
   WakeCalendar& calendar = ws.calendar;
   calendar.reset(1);
-  // kAuto picks dense while awake_count >= n / kDenseFractionDenominator
-  // (evaluated multiplication-side to avoid rounding): deterministic,
-  // since awake counts are schedule-independent.
-  const std::size_t dense_num = kDenseFractionDenominator;
 
   // Outputs snapshotted at commit/terminate time (see contract above):
   // dense array + committed bitmap, so the hot path never touches an
@@ -836,31 +579,34 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   if constexpr (trace::PhaseTraced<A>) phase_names = algo.trace_phases();
   const std::size_t num_phases = sink != nullptr ? phase_names.size() : 0;
   if (sink != nullptr)
-    sink->on_run_begin(
-        trace::RunInfo{.engine = "local",
-                       .num_vertices = n,
-                       .num_edges = g.num_edges(),
-                       .num_threads = num_threads,
-                       .state_bytes = sizeof(State),
-                       .packed_state_bytes = kPacked ? PackT::kHotBytes : 0,
-                       .layout = static_cast<std::uint8_t>(
-                           kPacked ? StateLayout::kPacked : StateLayout::kAos),
-                       .seed = opt.seed},
-        phase_names);
+    sink->on_run_begin(trace::RunInfo{.engine = "local",
+                                      .num_vertices = n,
+                                      .num_edges = g.num_edges(),
+                                      .num_threads = num_threads,
+                                      .state_bytes = sizeof(State),
+                                      .seed = opt.seed},
+                       phase_names);
 
+  // Chunk size only shapes the schedule, never the result; the
+  // automatic choice aims for a few chunks per worker so dynamic
+  // claiming absorbs per-chunk load imbalance. Chunks partition the
+  // index range, so chunk order IS ascending-vertex order. Dormancy
+  // deltas and trace counters are chunk-private, applied/merged at the
+  // barrier in chunk order (deltas) or by summation (counters;
+  // order-independent, hence byte-deterministic).
   ThreadPool pool(num_threads);
-  // Per-chunk survivor lists give the sparse path its deterministic
-  // merge order (chunk c covers active[c*grain, (c+1)*grain), so chunk
-  // order IS ascending-vertex order); the dense path needs none —
-  // index order is vertex order by construction. Dormancy deltas and
-  // trace counters follow the same scheme: chunk-private accumulation,
-  // applied/merged at the barrier in chunk order (deltas) or by
-  // summation (counters; order-independent, hence byte-deterministic).
-  auto& chunk_active = ws.chunk_active;
+  const std::size_t grain =
+      opt.grain != 0
+          ? opt.grain
+          : std::max<std::size_t>(
+                64, (n + 4 * num_threads - 1) / (4 * num_threads));
+  const std::size_t num_chunks = (n + grain - 1) / grain;
   auto& chunk_dormant = ws.chunk_dormant;
   auto& chunk_counters = ws.chunk_counters;
   auto& round_phase_charged = ws.round_phase_charged;
-  auto& still_active = ws.still_active;
+  if (chunk_dormant.size() < num_chunks) chunk_dormant.resize(num_chunks);
+  if (sink != nullptr && chunk_counters.size() < num_chunks)
+    chunk_counters.resize(num_chunks);
   // Counters for parked vertices: sleepers are active in the LOCAL
   // model, so when a sink is installed they must be charged each round
   // exactly as the unhinted engine would — the engine walks the
@@ -868,25 +614,15 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   trace::ChunkCounters sleep_counters;
 
   std::size_t round = 0;
-  std::size_t switches = 0;
-  FrontierMode last_repr = FrontierMode::kInherit;  // none yet
   while (awake_count > 0 || calendar.sleeping() > 0) {
     ++round;
-    // Wake phase: pop this round's bucket (sorted ascending). The woken
-    // vertices' frozen states already sit in BOTH buffers, so flipping
-    // their dormancy byte (and awake bit) is the whole transition; the
-    // sparse path additionally merges them into the (ascending) active
-    // list below.
-    std::vector<Vertex>* woken = nullptr;
+    // Wake phase: the woken vertices' frozen states already sit in BOTH
+    // buffers, so setting their awake bits is the whole transition.
     if (parking) {
-      woken = &calendar.take(round);
-      if (!woken->empty()) {
-        for (const Vertex v : *woken) {
-          inactive[v] = 0;
-          awake_words[v >> 6] |= std::uint64_t{1} << (v & 63);
-        }
-        awake_count += woken->size();
-      }
+      const std::vector<Vertex>& woken = calendar.take(round);
+      for (const Vertex v : woken)
+        awake_words[v >> 6] |= std::uint64_t{1} << (v & 63);
+      awake_count += woken.size();
     }
     const std::size_t asleep = calendar.sleeping();
     if (round > cap) {
@@ -903,91 +639,16 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
     result.metrics.active_per_round.push_back(awake_count + asleep);
     result.metrics.skipped_steps += asleep;
     if (parking) result.metrics.parked_per_round.push_back(asleep);
-
-    // Representation decision: forced modes pin it; kAuto compares the
-    // maintained awake count against the dense threshold. Counted as a
-    // switch whenever the label changes between consecutive rounds.
-    FrontierMode repr;
-    switch (forced) {
-      case FrontierMode::kDense:
-        repr = FrontierMode::kDense;
-        break;
-      case FrontierMode::kSparse:
-        repr = FrontierMode::kSparse;
-        break;
-      case FrontierMode::kCalendar:
-        repr = FrontierMode::kCalendar;
-        break;
-      default:
-        repr = awake_count * dense_num >= n
-                   ? FrontierMode::kDense
-                   : (parking ? FrontierMode::kCalendar
-                              : FrontierMode::kSparse);
-        break;
-    }
-    if (last_repr != FrontierMode::kInherit && repr != last_repr)
-      ++switches;
-    last_repr = repr;
-    const bool dense = repr == FrontierMode::kDense;
-    if (dense) {
-      // Dormancy transitions during a dense round bypass the list;
-      // the next list round rebuilds it from the byte array.
-      list_valid = false;
-    } else if (!list_valid) {
-      active.clear();
-      for (Vertex v = 0; v < n; ++v)
-        if (inactive[v] == 0) active.push_back(v);
-      list_valid = true;
-    } else if (woken != nullptr && !woken->empty()) {
-      auto& merged = ws.merged;
-      merged.clear();
-      merged.reserve(active.size() + woken->size());
-      std::merge(active.begin(), active.end(), woken->begin(),
-                 woken->end(), std::back_inserter(merged));
-      active.swap(merged);
-    }
-    VALOCAL_DCHECK(dense || active.size() == awake_count,
-                   "sparse active list out of sync with awake count");
     const auto round_start = Clock::now();
-
-    // Chunk size only shapes the schedule, never the result; the
-    // automatic choice aims for a few chunks per worker so dynamic
-    // claiming absorbs per-chunk load imbalance. Dense rounds chunk
-    // the full index range, sparse rounds the active list.
-    const std::size_t domain = dense ? n : active.size();
-    const std::size_t grain =
-        opt.grain != 0
-            ? opt.grain
-            : std::max<std::size_t>(
-                  64, (domain + 4 * num_threads - 1) / (4 * num_threads));
-    const std::size_t num_chunks = (domain + grain - 1) / grain;
-    if (!dense && chunk_active.size() < num_chunks)
-      chunk_active.resize(num_chunks);
-    if (chunk_dormant.size() < num_chunks) chunk_dormant.resize(num_chunks);
-    if (sink != nullptr && chunk_counters.size() < num_chunks)
-      chunk_counters.resize(num_chunks);
 
     // This round's write side; the other one is the frozen read side.
     // Every awake vertex writes only its own slots; dormant vertices'
     // slots are never written, so reads of their frozen state are safe.
-    // (The packed dense scan's bulk column copy rewrites dormant slots
-    // with their own frozen bytes — value-identical, and strictly
-    // within the owning chunk's range, so still write-disjoint.)
-    State* next_buf = nullptr;
-    const State* read_buf = nullptr;
-    typename PackT::Ptrs wp{};
-    typename PackT::CPtrs rp{};
-    if constexpr (kPacked) {
-      wp = PackT::ptrs(pack, static_cast<int>(round & 1));
-      rp = PackT::cptrs(pack, static_cast<int>(1 - (round & 1)));
-    } else {
-      next_buf = bufs[round & 1];
-      read_buf = bufs[1 - (round & 1)];
-    }
+    State* const next_buf = bufs[round & 1];
+    const State* const read_buf = bufs[1 - (round & 1)];
 
     pool.parallel_for_chunks(
-        domain, grain,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
+        n, grain, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           auto& dormant = chunk_dormant[chunk];
           dormant.clear();
           trace::ChunkCounters* counters = nullptr;
@@ -998,12 +659,7 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
           // Shared null stream for algorithms that never draw: keeps
           // the step signature uniform without building n streams.
           [[maybe_unused]] Xoshiro256 null_rng(0);
-          auto view = [&] {
-            if constexpr (kPacked)
-              return RoundView<State, PackedStateAccess<PackT>>(g, rp);
-            else
-              return RoundView<State>(g, read_buf);
-          }();
+          RoundView<State> view(g, read_buf);
           Xoshiro256* const rng_streams = [&]() -> Xoshiro256* {
             if constexpr (algorithm_uses_rng<A>)
               return rng.data();
@@ -1012,105 +668,35 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
           }();
           std::uint32_t* const rounds_out = result.metrics.rounds.data();
           std::uint8_t* const committed_out = committed.data();
-          if (dense) {
-            // Word-granular scan over the awake bitset, both layouts:
-            // a fully dormant 64-vertex block costs one load, and the
-            // set-bit walk takes no per-vertex branch on the dormancy
-            // byte (the flat byte-tested scan this replaces cost two
-            // taken branches per dormant vertex once GCC split the
-            // skip loop across the big composed instantiations). A
-            // packed carry-forward runs as a prepass that coalesces
-            // contiguous awake words into one bulk read -> write copy
-            // per run, so a fully dense chunk costs a single large
-            // memcpy per hot column instead of one small memcpy per
-            // 64-vertex block (the per-word copies left packed ~10%
-            // behind AoS once the columns outgrew L2). Copying the
-            // dormant slots inside an awake run is harmless: both
-            // buffers already hold their frozen values.
-            const std::uint64_t* const words = awake_words.data();
-            if constexpr (kPacked) {
-              std::size_t run_lo = 0;
-              bool in_run = false;
-              for (std::size_t w = begin >> 6; (w << 6) < end; ++w) {
-                const std::size_t base = w << 6;
-                std::uint64_t bits = words[w];
-                if (base < begin)
-                  bits &= ~std::uint64_t{0} << (begin - base);
-                if (end - base < 64)
-                  bits &= (std::uint64_t{1} << (end - base)) - 1;
-                if (bits != 0) {
-                  if (!in_run) {
-                    run_lo = std::max(begin, base);
-                    in_run = true;
-                  }
-                } else if (in_run) {
-                  PackT::copy_hot_range(wp, rp, run_lo, base);
-                  in_run = false;
-                }
-              }
-              if (in_run) PackT::copy_hot_range(wp, rp, run_lo, end);
-            }
-            for (std::size_t w = begin >> 6; (w << 6) < end; ++w) {
-              const std::size_t base = w << 6;
-              std::uint64_t bits = words[w];
-              if (base < begin) bits &= ~std::uint64_t{0} << (begin - base);
-              if (end - base < 64)
-                bits &= (std::uint64_t{1} << (end - base)) - 1;
-              if (bits == 0) continue;
-              while (bits != 0) {
-                const auto b =
-                    static_cast<unsigned>(std::countr_zero(bits));
-                bits &= bits - 1;
-                if constexpr (kPacked)
-                  (void)step_one<PackT, true>(
-                      algo, g, round, static_cast<Vertex>(base + b), view,
-                      rp, wp, committed_out, outputs, rounds_out,
-                      rng_streams, null_rng, parking, counters, dormant);
-                else
-                  (void)step_one<PackT, false>(
-                      algo, g, round, static_cast<Vertex>(base + b), view,
-                      read_buf, next_buf, committed_out, outputs,
-                      rounds_out, rng_streams, null_rng, parking, counters,
-                      dormant);
-              }
-            }
-          } else {
-            auto& still = chunk_active[chunk];
-            still.clear();
-            // Plain if-constexpr, NOT an immediately-invoked [&]
-            // lambda: GCC outlines the closure in the packed
-            // instantiation, and the by-reference capture of `view`
-            // then pins the view to the stack for the WHOLE chunk
-            // worker — every loop above loses scalar replacement and
-            // re-spills the cached neighbor span per vertex.
-            for (std::size_t i = begin; i < end; ++i) {
-              const Vertex v = active[i];
-              bool alive;
-              if constexpr (kPacked)
-                alive = step_one<PackT, false>(
-                    algo, g, round, v, view, rp, wp, committed_out,
-                    outputs, rounds_out, rng_streams, null_rng, parking,
-                    counters, dormant);
-              else
-                alive = step_one<PackT, false>(
-                    algo, g, round, v, view, read_buf, next_buf,
-                    committed_out, outputs, rounds_out, rng_streams,
-                    null_rng, parking, counters, dormant);
-              if (alive) still.push_back(v);
+          // Word-granular scan over the awake bitset: a fully dormant
+          // 64-vertex block costs one load, and the set-bit walk takes
+          // no per-vertex dormancy branch (a byte-tested flat scan cost
+          // two taken branches per dormant vertex once GCC split the
+          // skip loop across the big composed instantiations).
+          // The zero test comes first so a dormant word costs one load
+          // and one branch; the chunk-edge masks apply only to the (at
+          // most two) edge words that hold a set bit.
+          const std::uint64_t* const words = awake_words.data();
+          const std::size_t first = begin >> 6;
+          const std::size_t last = (end - 1) >> 6;
+          for (std::size_t w = first; w <= last; ++w) {
+            std::uint64_t bits = words[w];
+            if (bits == 0) continue;
+            const std::size_t base = w << 6;
+            if (w == first) bits &= ~std::uint64_t{0} << (begin - base);
+            if (w == last && end - base < 64)
+              bits &= (std::uint64_t{1} << (end - base)) - 1;
+            while (bits != 0) {
+              const auto b = static_cast<unsigned>(std::countr_zero(bits));
+              bits &= bits - 1;
+              detail_engine::step_one(
+                  algo, g, round, static_cast<Vertex>(base + b), view,
+                  read_buf, next_buf, committed_out, outputs, rounds_out,
+                  rng_streams, null_rng, parking, counters, dormant);
             }
           }
         });
-
-    // Round barrier, part 1 (sparse only): merge the survivor lists in
-    // chunk order — exactly the serial ascending-vertex iteration.
     const std::size_t stepped = awake_count;
-    if (!dense) {
-      still_active.clear();
-      for (std::size_t c = 0; c < num_chunks; ++c)
-        still_active.insert(still_active.end(), chunk_active[c].begin(),
-                            chunk_active[c].end());
-      active.swap(still_active);
-    }
 
     // Sleeper accounting, BEFORE parking this round's new sleepers
     // (those were stepped above and already counted by their chunks).
@@ -1121,61 +707,29 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
       calendar.for_each_sleeping([&](Vertex v) {
         if (!committed[v]) {
           ++sleep_counters.charged;
-          if constexpr (trace::PhaseTraced<A>) {
-            if constexpr (kPacked)
-              ++sleep_counters.phase_charged[
-                  algo.trace_phase_of(v, round, PackT::cref(rp, v))];
-            else
-              ++sleep_counters.phase_charged[
-                  algo.trace_phase_of(v, round, read_buf[v])];
-          }
+          if constexpr (trace::PhaseTraced<A>)
+            ++sleep_counters.phase_charged[
+                algo.trace_phase_of(v, round, read_buf[v])];
         }
         sleep_counters.volume_bytes +=
             static_cast<std::uint64_t>(sizeof(State)) * g.degree(v);
       });
     }
 
-    // Round barrier, part 2: apply the dormancy deltas. Each dormant
-    // vertex's last write is frozen into the other buffer (so future
-    // rounds' single-buffer reads see it without republication), its
-    // byte (and awake bit) is stamped, and parked vertices enter the
-    // calendar — serially, in chunk order, touching per-vertex slots
-    // only. The packed freeze moves exactly the fields the vertex
-    // publishes: the hot columns plus, when declared, its cold slot.
-    std::size_t dormant_total = 0;
-    if constexpr (kPacked) {
-      const auto other = PackT::ptrs(pack, static_cast<int>(1 - (round & 1)));
-      const auto written = PackT::cptrs(pack, static_cast<int>(round & 1));
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        for (const auto& [v, wake] : chunk_dormant[c]) {
-          PackT::copy_vertex(other, written, v);
-          awake_words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-          if (wake == 0) {
-            inactive[v] = 2;
-          } else {
-            inactive[v] = 1;
-            calendar.schedule(v, wake);
-          }
-        }
-        dormant_total += chunk_dormant[c].size();
+    // Round barrier: apply the dormancy deltas. Each dormant vertex's
+    // last write is frozen into the other buffer (so future rounds'
+    // single-buffer reads see it without republication), its awake bit
+    // is cleared, and parked vertices enter the calendar — serially, in
+    // chunk order, touching per-vertex slots only.
+    State* const other_buf = bufs[1 - (round & 1)];
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      for (const auto& [v, wake] : chunk_dormant[c]) {
+        other_buf[v] = next_buf[v];
+        awake_words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+        if (wake != 0) calendar.schedule(v, wake);
       }
-    } else {
-      State* const other_buf = bufs[1 - (round & 1)];
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        for (const auto& [v, wake] : chunk_dormant[c]) {
-          other_buf[v] = next_buf[v];
-          awake_words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-          if (wake == 0) {
-            inactive[v] = 2;
-          } else {
-            inactive[v] = 1;
-            calendar.schedule(v, wake);
-          }
-        }
-        dormant_total += chunk_dormant[c].size();
-      }
+      awake_count -= chunk_dormant[c].size();
     }
-    awake_count -= dormant_total;
 
     result.metrics.round_wall_ns.push_back(static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1187,7 +741,6 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
       event.round = round;
       event.active = stepped + asleep;
       event.asleep = asleep;
-      event.frontier_mode = static_cast<std::uint8_t>(repr);
       round_phase_charged.assign(num_phases, 0);
       for (std::size_t c = 0; c < num_chunks; ++c) {
         const auto& counters = chunk_counters[c];
@@ -1204,19 +757,11 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
         for (std::size_t p = 0; p < num_phases; ++p)
           round_phase_charged[p] += sleep_counters.phase_charged[p];
       }
-      // Layout-dependent, contract-exempt (like wall_ns): bytes the
-      // packed layout actually moved for the charged volume. Exact
-      // rescale — volume_bytes is sizeof(State) * degree summed over
-      // the same vertex set the columns served.
-      if constexpr (kPacked)
-        event.packed_bytes =
-            event.volume_bytes / sizeof(State) * PackT::kHotBytes;
       event.wall_ns = result.metrics.round_wall_ns.back();
       event.phase_charged = round_phase_charged;
       sink->on_round(event);
     }
   }
-  result.metrics.frontier_switches = switches;
   // One-pass measure rollup (vertex-avg / edge-avg / worst-case /
   // awake): makes the Metrics accessors O(1) and fills the edge-decay
   // sequence. Purely derived from `rounds` + the graph, so it shares
@@ -1232,7 +777,6 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
     end.num_edges = g.num_edges();
     end.wall_ns = result.metrics.total_wall_ns();
     end.skipped_steps = result.metrics.skipped_steps;
-    end.frontier_switches = switches;
     end.worker_load = pool.worker_load();
     sink->on_run_end(end);
   }
@@ -1240,83 +784,14 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   // Every vertex that left the frontier committed on the way out, so
   // the dense array IS the output vector; the fallback only covers
   // vertices that never ran (n == 0 is the only such case today).
-  // final_states is opt-in (see RunOptions): packed runs reassemble
-  // it out of the columns — dormancy freezes made both sides
-  // identical, so side 0 is canonical — and skipping that gather when
-  // nobody asked keeps the epilogue off the packed run's bill.
-  if constexpr (kPacked) {
-    const auto final_side = PackT::cptrs(pack, 0);
-    for (Vertex v = 0; v < n; ++v)
-      if (!committed[v])
-        outputs[v] = algo.output(v, PackT::cref(final_side, v));
-    result.outputs = std::move(outputs);
-    if (opt.want_final_states)
-      PackT::gather_all(result.final_states, final_side, n);
-  } else {
-    for (Vertex v = 0; v < n; ++v)
-      if (!committed[v]) outputs[v] = algo.output(v, buf0[v]);
-    result.outputs = std::move(outputs);
-    // Dormancy freezes copied every vertex's final state into both
-    // buffers, and the loop only exits with every vertex terminated —
-    // so buffer 0 already IS the final-states vector, no collapse pass.
-    if (opt.want_final_states) result.final_states = std::move(buf0);
-  }
+  for (Vertex v = 0; v < n; ++v)
+    if (!committed[v]) outputs[v] = algo.output(v, buf0[v]);
+  result.outputs = std::move(outputs);
+  // Dormancy freezes copied every vertex's final state into both
+  // buffers, and the loop only exits with every vertex terminated — so
+  // buffer 0 already IS the final-states vector, no collapse pass.
+  if (opt.want_final_states) result.final_states = std::move(buf0);
   return result;
-}
-
-}  // namespace detail_engine
-
-/// Runs `algo` on `g` to completion and returns outputs plus metrics.
-///
-/// Determinism contract. For fixed (graph, algorithm, seed), outputs,
-/// final_states, Metrics::rounds, and Metrics::active_per_round are
-/// byte-identical for every num_threads/grain/frontier_mode/layout
-/// combination: each awake vertex is stepped exactly once per round
-/// against the previous round's buffer with its own RNG stream, every
-/// per-vertex write (next state, r(v), committed output, dormancy
-/// freeze) lands in a slot only that vertex touches, dormancy deltas
-/// are applied at the barrier in ascending-vertex chunk order, and the
-/// representation schedule is a pure function of the (deterministic)
-/// awake counts — so dense scans, sparse lists, and the calendar all
-/// reproduce exactly the serial ascending-vertex iteration.
-///
-/// Output freezing. The first round in which a vertex returns kCommit
-/// or kTerminate fixes BOTH r(v) and its output: the engine snapshots
-/// algo.output(v, ·) on that round's staged state. A committed vertex
-/// may keep computing and relaying (kCommit), but nothing it does
-/// afterwards can alter the recorded output.
-///
-/// Observability. When a trace sink is installed (trace::set_sink —
-/// the slot is thread-local; the engine consults the calling thread's),
-/// the engine reports one RoundEvent per round — active / charged /
-/// committed / terminated counts, the round's frontier representation,
-/// published-state volume (sizeof(State) * degree summed over stepped
-/// vertices) and, for algorithms satisfying trace::PhaseTraced,
-/// per-phase charged counts — plus run begin/end events carrying the
-/// representation-switch total and the pool's worker-load counters.
-/// All trace fields except wall_ns (and the schedule-dependent
-/// frontier_mode label under kAuto vs forced modes) are sums over the
-/// round's vertex set and therefore covered by the determinism
-/// contract above. With no sink installed (the default) the tracing
-/// path reduces to one null-pointer test per vertex and the engine
-/// behaves exactly as before.
-template <LocalAlgorithm A>
-RunResult<A> run_local(const Graph& g, const A& algo,
-                       RunOptions opt = {}) {
-  if constexpr (StatePacked<A>) {
-    // Resolve the layout exactly like the other knobs: per-run option,
-    // else the process-wide default (never kInherit after the setter's
-    // normalization); kAuto means packed for a pack-declaring
-    // algorithm. Unpacked algorithms skip the resolution entirely —
-    // there is only one layout for them.
-    const StateLayout layout = opt.layout != StateLayout::kInherit
-                                   ? opt.layout
-                                   : engine_state_layout();
-    if (layout != StateLayout::kAos)
-      return detail_engine::run_local_impl<typename A::StatePack>(g, algo,
-                                                                  opt);
-  }
-  return detail_engine::run_local_impl<NoStatePack>(g, algo, opt);
 }
 
 }  // namespace valocal

@@ -9,8 +9,8 @@
 //
 //   schedule(v, w)  — append v to bucket w (w is an absolute round
 //                     strictly greater than the round being popped);
-//   take(r)         — pop bucket r, sorted ascending, so the engine can
-//                     std::merge it into the (ascending) active list.
+//   take(r)         — pop bucket r, sorted ascending; the engine sets
+//                     the popped vertices' awake bits.
 //
 // Buckets receive vertices from many different rounds (whoever decided
 // to sleep until w), but within one scheduling round the engine appends
@@ -18,9 +18,9 @@
 // bucket is a concatenation of a few ascending runs — one per
 // scheduling round that targeted it. schedule() records the run
 // boundaries as they form (an append smaller than its predecessor
-// starts a run); take() restores the canonical ascending order the
-// determinism contract requires with successive std::inplace_merge over
-// those presorted runs instead of a blind is_sorted scan + std::sort.
+// starts a run); take() restores the canonical ascending order with
+// successive std::inplace_merge over those presorted runs instead of a
+// blind is_sorted scan + std::sort.
 // The common single-run bucket pops with no comparison work at all.
 // Buckets already popped are compacted away periodically, so memory is
 // O(sleeping + horizon of the farthest pending wake), not O(total

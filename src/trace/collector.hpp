@@ -39,11 +39,7 @@ struct RoundSample {
   std::size_t terminated = 0;
   std::uint64_t volume_bytes = 0;
   std::uint64_t messages = 0;
-  /// Bytes the packed (SoA) layout moved for the charged volume; 0 for
-  /// AoS runs. Layout-dependent, contract-exempt (like wall_ns).
-  std::uint64_t packed_bytes = 0;
   std::uint64_t wall_ns = 0;
-  std::uint8_t frontier_mode = 0;  // FrontierMode value; 0 for mailbox
   std::vector<std::size_t> phase_charged;
 };
 
@@ -55,11 +51,6 @@ struct RunRecord {
   std::size_t num_edges = 0;
   std::size_t num_threads = 1;
   std::size_t state_bytes = 0;
-  /// Hot bytes per vertex under the packed layout; 0 for AoS/mailbox.
-  std::size_t packed_state_bytes = 0;
-  /// Numeric StateLayout the run executed with (2 packed, 3 aos,
-  /// 0 mailbox). Contract-exempt configuration label.
-  std::uint8_t layout = 0;
   std::uint64_t seed = 0;
   std::vector<std::string> phase_names;
   std::vector<RoundSample> rounds;
@@ -70,7 +61,6 @@ struct RunRecord {
   std::uint64_t wall_ns = 0;
   std::uint64_t messages = 0;
   std::uint64_t skipped_steps = 0;  // wake-scheduling savings (0 hints-off)
-  std::uint64_t frontier_switches = 0;  // representation changes (0 forced)
   std::vector<std::uint64_t> worker_chunks;   // schedule-dependent
   std::vector<std::uint64_t> worker_indices;  // schedule-dependent
   double begin_us = 0.0;  // relative to the collector's epoch

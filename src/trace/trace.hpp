@@ -61,15 +61,6 @@ struct RunInfo {
   std::size_t num_edges = 0;
   std::size_t num_threads = 1;    // engine workers (1 for mailbox)
   std::size_t state_bytes = 0;    // sizeof(State) / sizeof(Message)
-  /// Bytes per vertex resident in the hot columns under the packed
-  /// (SoA) layout; 0 for AoS runs and the mailbox engine. NOT covered
-  /// by the cross-layout determinism contract (it names the layout).
-  std::size_t packed_state_bytes = 0;
-  /// State layout the run executed with (numeric StateLayout value:
-  /// 2 packed, 3 aos; 0 for the mailbox engine). Like frontier_mode on
-  /// RoundEvent: a label of the configuration, deliberately different
-  /// between forced layouts and therefore contract-exempt.
-  std::uint8_t layout = 0;
   std::uint64_t seed = 0;
 };
 
@@ -96,19 +87,7 @@ struct RoundEvent {
   /// Explicit messages sent this round (mailbox engine; 0 for
   /// run_local, whose communication is the published-state volume).
   std::uint64_t messages = 0;
-  /// Bytes the packed (SoA) layout actually moved for the charged
-  /// volume: volume_bytes rescaled by hot-bytes / sizeof(State). 0 for
-  /// AoS runs. NOT semantic (layout-dependent, like wall_ns) — it
-  /// exists so traces quantify what the packing saved.
-  std::uint64_t packed_bytes = 0;
   std::uint64_t wall_ns = 0;   // NOT semantic: engine-measured time
-  /// Frontier representation run_local executed this round with
-  /// (numeric FrontierMode value: 2 dense, 3 sparse, 4 calendar; 0 for
-  /// the mailbox engine, which has no representation choice). Semantic
-  /// under a FIXED frontier-mode setting — it is a pure function of
-  /// the deterministic awake counts — but intentionally different
-  /// between forced modes, like `asleep` between hint settings.
-  std::uint8_t frontier_mode = 0;
   /// Charged count per algorithm phase, parallel to the names passed
   /// to on_run_begin; empty when the algorithm declares no phases.
   /// The entries sum to `charged`. Valid only during the callback.
@@ -131,9 +110,6 @@ struct RunEndEvent {
   /// Total vertex-rounds skipped by wake scheduling (sum of the
   /// per-round `asleep` counts); 0 with sleep hints off.
   std::uint64_t skipped_steps = 0;
-  /// Frontier-representation changes between consecutive rounds; 0
-  /// under a forced mode and for the mailbox engine.
-  std::uint64_t frontier_switches = 0;
   /// Per-thread chunk/index counters from the engine's pool (slot 0 =
   /// the dispatching thread). Schedule-dependent — load-imbalance
   /// evidence, not semantic. Empty for the mailbox engine.

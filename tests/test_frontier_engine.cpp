@@ -1,15 +1,16 @@
-// Frontier-representation contract tests: run_local must produce
-// byte-identical outputs, r(v), and active_per_round under every
-// forced frontier mode (dense / sparse / calendar) and under the
-// measured auto switch, for every threads x grain x sleep-hint
-// combination — the representation is a throughput knob, never a
-// semantic one. The trace layer's per-round mode labels and the
-// run-end switch count are checked for consistency: forced modes pin
-// the label and report zero switches; auto's labels follow the awake
-// fraction and the switch count equals the label changes.
+// Golden-checksum oracle for run_local's frontier. The engine has one
+// frontier representation — the word-granular awake bitset, with the
+// wake calendar setting bits back for parked vertices — and one state
+// layout (double-buffered AoS State arrays). These checksums were
+// recorded on the engine that still carried the dense/sparse/calendar
+// frontier switch and the opt-in SoA state packing; every
+// threads x grain x sleep-hint combination of the single engine must
+// reproduce them bit for bit, so deleting that machinery changed no
+// output, r(v), active_per_round, or calendar schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
 #include "sim/network.hpp"
-#include "trace/trace.hpp"
 
 namespace valocal {
 namespace {
@@ -28,7 +28,7 @@ namespace {
 // Deterministic wait-heavy workload (mirrors bench_common's): a
 // composition whose sub terminates after 2 of 24 budgeted sub-rounds,
 // so unjoined vertices idle through most of every block — the regime
-// where auto picks the calendar representation once hints are on.
+// where sleep hints park most of the graph.
 struct IdleSub {
   struct State {
     std::uint64_t x = 1;
@@ -51,319 +51,112 @@ struct IdleSub {
   static constexpr bool uses_rng = false;
 };
 
-constexpr FrontierMode kModes[] = {FrontierMode::kAuto,
-                                   FrontierMode::kDense,
-                                   FrontierMode::kSparse,
-                                   FrontierMode::kCalendar};
-
-/// Records the per-round representation labels and the run-end switch
-/// count (the two new trace fields this suite pins down).
-struct ModeLog final : trace::TraceSink {
-  std::vector<std::uint8_t> labels;
-  std::uint64_t switches = 0;
-  void on_round(const trace::RoundEvent& e) override {
-    labels.push_back(e.frontier_mode);
+// FNV-1a over each value widened to 64 bits (order-sensitive).
+struct Fnv64 {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
   }
-  void on_run_end(const trace::RunEndEvent& e) override {
-    switches = e.frontier_switches;
+  template <class T>
+  void add_all(const std::vector<T>& values) {
+    add(values.size());
+    for (const T& x : values) add(static_cast<std::uint64_t>(x));
   }
 };
 
-/// Sweeps every mode x threads x grain combination against the forced
-/// sparse serial reference and checks the semantic triple; hinted
-/// algorithms are swept under both hint settings by the caller.
+/// The semantic triple every engine setting must agree on.
+template <class Outputs>
+std::uint64_t core_checksum(const Outputs& outputs, const Metrics& m) {
+  Fnv64 f;
+  f.add_all(outputs);
+  f.add_all(m.rounds);
+  f.add_all(m.active_per_round);
+  return f.h;
+}
+
+std::uint64_t parked_checksum(const Metrics& m) {
+  Fnv64 f;
+  f.add_all(m.parked_per_round);
+  return f.h;
+}
+
+std::string hex(std::uint64_t x) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(x));
+  return buf;
+}
+
+/// Recorded checksums of one workload: the semantic triple, and the
+/// calendar's parked_per_round under sleep hints (the checksum of an
+/// empty series for algorithms the engine never parks).
+struct Golden {
+  std::uint64_t core;
+  std::uint64_t parked_hinted;
+};
+
+constexpr std::uint64_t kEmptyParked = 0xa8c7f832281a39c5ULL;
+
+/// Runs the full threads x grain x hints grid and checks every run
+/// against the recorded checksums.
 template <class A>
-void expect_mode_equivalence(const Graph& g, const A& algo,
-                             std::uint64_t seed, SleepHints hints) {
-  const auto ref = run_local(
-      g, algo,
-      {.seed = seed,
-       .num_threads = 1,
-       .sleep_hints = hints,
-       .frontier_mode = FrontierMode::kSparse});
-  for (const FrontierMode mode : kModes) {
-    for (std::size_t threads : {1u, 4u}) {
-      for (std::size_t grain : {0u, 7u}) {
+void expect_golden(const Graph& g, const A& algo, std::uint64_t seed,
+                   const Golden& golden) {
+  for (const SleepHints hints : {SleepHints::kOff, SleepHints::kOn}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      for (const std::size_t grain : {0u, 7u}) {
         const auto run = run_local(g, algo,
                                    {.seed = seed,
                                     .num_threads = threads,
                                     .grain = grain,
-                                    .sleep_hints = hints,
-                                    .frontier_mode = mode});
-        const std::string what =
-            std::string("mode=") + frontier_mode_name(mode) +
-            " threads=" + std::to_string(threads) +
-            " grain=" + std::to_string(grain) +
-            " hints=" + (hints == SleepHints::kOn ? "on" : "off");
-        EXPECT_EQ(run.outputs, ref.outputs) << what;
-        EXPECT_EQ(run.metrics.rounds, ref.metrics.rounds) << what;
-        EXPECT_EQ(run.metrics.active_per_round,
-                  ref.metrics.active_per_round)
+                                    .sleep_hints = hints});
+        const bool on = hints == SleepHints::kOn;
+        const std::string what = "threads=" + std::to_string(threads) +
+                                 " grain=" + std::to_string(grain) +
+                                 " hints=" + (on ? "on" : "off");
+        EXPECT_EQ(hex(core_checksum(run.outputs, run.metrics)),
+                  hex(golden.core))
+            << what;
+        EXPECT_EQ(hex(parked_checksum(run.metrics)),
+                  hex(on ? golden.parked_hinted : kEmptyParked))
             << what;
       }
     }
   }
 }
 
-template <class A>
-ModeLog traced_modes(const Graph& g, const A& algo, RunOptions opt) {
-  ModeLog log;
-  {
-    trace::ScopedSink scoped(&log);
-    (void)run_local(g, algo, opt);
-  }
-  return log;
+TEST(FrontierGolden, EmptySeriesChecksumIsTheSentinel) {
+  EXPECT_EQ(hex(parked_checksum(Metrics{})), hex(kEmptyParked));
 }
 
-TEST(FrontierEngine, RingColoringIsByteIdenticalAcrossModes) {
+TEST(FrontierGolden, RingColoring3OnRing2048) {
   const Graph g = gen::ring(2048);
   const RingColoring3Algo algo(g.num_vertices());
-  expect_mode_equivalence(g, algo, 0x5eed, SleepHints::kOff);
-  expect_mode_equivalence(g, algo, 0x5eed, SleepHints::kOn);
+  expect_golden(g, algo, 0x5eed,
+                {0x64fc428206d9d33aULL, 0x46d87e2c60e37022ULL});
 }
 
-TEST(FrontierEngine, RandomizedMisOnRmatIsByteIdenticalAcrossModes) {
-  // RNG-drawing algorithm: identical outputs across modes prove the
-  // per-vertex streams advance identically regardless of iteration
-  // shape (flat scan vs list walk).
+TEST(FrontierGolden, LubyOnRmat12x8) {
+  // RNG-drawing algorithm: matching checksums prove the per-vertex
+  // streams advance identically under every schedule.
   const Graph g = gen::rmat(gen::parse_rmat_spec("12x8", 7));
   const LubyMisAlgo algo;
-  for (std::uint64_t seed : {1u, 4242u})
-    expect_mode_equivalence(g, algo, seed, SleepHints::kOff);
+  expect_golden(g, algo, 1, {0x23ac307fc076cf91ULL, kEmptyParked});
+  expect_golden(g, algo, 4242, {0x1754d344369d9d1aULL, kEmptyParked});
 }
 
-TEST(FrontierEngine, WaitHeavyCompositionIsByteIdenticalAcrossModes) {
+TEST(FrontierGolden, WaitHeavyCompositionOnDaryTree1500) {
+  // Hinted: with hints on most of each block sleeps in the calendar,
+  // so parked_per_round pins the wake schedule as well.
   const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
   const Graph g = gen::dary_tree(1500, params.threshold() + 1);
   const HSetComposition<IdleSub> algo(g.num_vertices(), params,
                                       IdleSub{});
-  expect_mode_equivalence(g, algo, 0x5eed, SleepHints::kOff);
-  expect_mode_equivalence(g, algo, 0x5eed, SleepHints::kOn);
-}
-
-TEST(FrontierEngine, ForcedModesPinRoundLabelsAndReportNoSwitches) {
-  const Graph g = gen::ring(512);
-  const RingColoring3Algo algo(g.num_vertices());
-  for (const SleepHints hints : {SleepHints::kOff, SleepHints::kOn}) {
-    for (const FrontierMode mode :
-         {FrontierMode::kDense, FrontierMode::kSparse,
-          FrontierMode::kCalendar}) {
-      const ModeLog log = traced_modes(
-          g, algo,
-          {.seed = 1, .sleep_hints = hints, .frontier_mode = mode});
-      ASSERT_FALSE(log.labels.empty());
-      for (const std::uint8_t label : log.labels)
-        EXPECT_EQ(label, static_cast<std::uint8_t>(mode))
-            << "forced " << frontier_mode_name(mode);
-      EXPECT_EQ(log.switches, 0u) << frontier_mode_name(mode);
-    }
-  }
-}
-
-TEST(FrontierEngine, AutoLabelsFollowAwakeFractionAndCountSwitches) {
-  // Wait-heavy composition with hints on: the run starts dense (all
-  // awake), then drops below the threshold into calendar rounds as
-  // blocks park — auto must record that trajectory and count each
-  // label change exactly once, identically for every schedule.
-  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
-  const Graph g = gen::dary_tree(1500, params.threshold() + 1);
-  const HSetComposition<IdleSub> algo(g.num_vertices(), params,
-                                      IdleSub{});
-  const RunOptions base{.seed = 1,
-                        .sleep_hints = SleepHints::kOn,
-                        .frontier_mode = FrontierMode::kAuto};
-  const ModeLog ref = traced_modes(g, algo, base);
-  ASSERT_FALSE(ref.labels.empty());
-  EXPECT_EQ(ref.labels.front(),
-            static_cast<std::uint8_t>(FrontierMode::kDense))
-      << "round 1 has every vertex awake";
-  std::uint64_t changes = 0;
-  bool saw_calendar = false;
-  for (std::size_t i = 1; i < ref.labels.size(); ++i) {
-    if (ref.labels[i] != ref.labels[i - 1]) ++changes;
-    saw_calendar |= ref.labels[i] ==
-                    static_cast<std::uint8_t>(FrontierMode::kCalendar);
-  }
-  EXPECT_EQ(ref.switches, changes);
-  EXPECT_GT(ref.switches, 0u);
-  EXPECT_TRUE(saw_calendar)
-      << "hinted wait-heavy run must reach the calendar representation";
-
-  for (std::size_t threads : {2u, 4u}) {
-    RunOptions opt = base;
-    opt.num_threads = threads;
-    const ModeLog run = traced_modes(g, algo, opt);
-    EXPECT_EQ(run.labels, ref.labels) << "threads=" << threads;
-    EXPECT_EQ(run.switches, ref.switches) << "threads=" << threads;
-  }
-}
-
-TEST(FrontierEngine, ProcessWideDefaultIsInheritedAndOverridable) {
-  const Graph g = gen::ring(256);
-  const RingColoring3Algo algo(g.num_vertices());
-  const auto ref = run_local(
-      g, algo, {.seed = 1, .frontier_mode = FrontierMode::kSparse});
-
-  set_engine_frontier_mode(FrontierMode::kDense);
-  const ModeLog inherited = traced_modes(g, algo, {.seed = 1});
-  const ModeLog overridden = traced_modes(
-      g, algo, {.seed = 1, .frontier_mode = FrontierMode::kSparse});
-  set_engine_frontier_mode(FrontierMode::kAuto);
-
-  for (const std::uint8_t label : inherited.labels)
-    EXPECT_EQ(label, static_cast<std::uint8_t>(FrontierMode::kDense));
-  for (const std::uint8_t label : overridden.labels)
-    EXPECT_EQ(label, static_cast<std::uint8_t>(FrontierMode::kSparse));
-  const auto back = run_local(g, algo, {.seed = 1});
-  EXPECT_EQ(back.outputs, ref.outputs);
-}
-
-TEST(FrontierEngine, ModeNamesRoundTrip) {
-  for (const FrontierMode mode : kModes) {
-    const auto parsed = frontier_mode_from_name(frontier_mode_name(mode));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, mode);
-  }
-  EXPECT_FALSE(frontier_mode_from_name("bogus").has_value());
-  EXPECT_FALSE(frontier_mode_from_name("").has_value());
-}
-
-// ---------------------------------------------------------------------
-// State-layout axis (sim/state_pack.hpp): packed vs AoS storage must be
-// byte-identical in outputs, r(v), and active_per_round for every
-// frontier mode x threads x grain x sleep-hint combination — the same
-// contract as the frontier representation, extended to the layout.
-
-/// Sweeps both forced layouts across the full mode/threads/grain grid
-/// against the forced-AoS sparse serial reference.
-template <class A>
-void expect_layout_equivalence(const Graph& g, const A& algo,
-                               std::uint64_t seed, SleepHints hints) {
-  const auto ref = run_local(g, algo,
-                             {.seed = seed,
-                              .num_threads = 1,
-                              .sleep_hints = hints,
-                              .frontier_mode = FrontierMode::kSparse,
-                              .layout = StateLayout::kAos});
-  for (const StateLayout layout :
-       {StateLayout::kPacked, StateLayout::kAos}) {
-    for (const FrontierMode mode : kModes) {
-      for (std::size_t threads : {1u, 4u}) {
-        for (std::size_t grain : {0u, 7u}) {
-          const auto run = run_local(g, algo,
-                                     {.seed = seed,
-                                      .num_threads = threads,
-                                      .grain = grain,
-                                      .sleep_hints = hints,
-                                      .frontier_mode = mode,
-                                      .layout = layout});
-          const std::string what =
-              std::string("layout=") + state_layout_name(layout) +
-              " mode=" + frontier_mode_name(mode) +
-              " threads=" + std::to_string(threads) +
-              " grain=" + std::to_string(grain) +
-              " hints=" + (hints == SleepHints::kOn ? "on" : "off");
-          EXPECT_EQ(run.outputs, ref.outputs) << what;
-          EXPECT_EQ(run.metrics.rounds, ref.metrics.rounds) << what;
-          EXPECT_EQ(run.metrics.active_per_round,
-                    ref.metrics.active_per_round)
-              << what;
-        }
-      }
-    }
-  }
-}
-
-TEST(StateLayout, RingColoringIsByteIdenticalAcrossLayouts) {
-  const Graph g = gen::ring(2048);
-  const RingColoring3Algo algo(g.num_vertices());
-  static_assert(StatePacked<RingColoring3Algo>);
-  expect_layout_equivalence(g, algo, 0x5eed, SleepHints::kOff);
-  expect_layout_equivalence(g, algo, 0x5eed, SleepHints::kOn);
-}
-
-TEST(StateLayout, PartitionOnTreeIsByteIdenticalAcrossLayouts) {
-  // PartitionAlgo declares no pack: forcing kPacked must silently run
-  // the AoS path (the layout trait is opt-in), and both forced values
-  // must agree with the default.
-  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
-  const Graph g = gen::dary_tree(1500, params.threshold() + 1);
-  const PartitionAlgo algo(params);
-  static_assert(!StatePacked<PartitionAlgo>);
-  expect_layout_equivalence(g, algo, 0x5eed, SleepHints::kOff);
-}
-
-TEST(StateLayout, PackedRunsLabelTraceAndCountPackedBytes) {
-  // The trace layer labels each run with its layout and reports the
-  // hot-byte volume: packed runs carry layout=2 (kPacked), nonzero
-  // packed_state_bytes, and per-round packed_bytes scaled by
-  // kHotBytes/sizeof(State); AoS runs carry layout=3 and zeros.
-  // volume_bytes itself is semantic and must not depend on the layout.
-  struct LayoutLog final : trace::TraceSink {
-    std::uint8_t layout = 0;
-    std::size_t packed_state_bytes = 0;
-    std::uint64_t packed_bytes = 0;
-    std::uint64_t volume_bytes = 0;
-    void on_run_begin(const trace::RunInfo& info,
-                      std::span<const char* const>) override {
-      layout = info.layout;
-      packed_state_bytes = info.packed_state_bytes;
-    }
-    void on_round(const trace::RoundEvent& e) override {
-      packed_bytes += e.packed_bytes;
-      volume_bytes += e.volume_bytes;
-    }
-  };
-  const Graph g = gen::ring(512);
-  const RingColoring3Algo algo(g.num_vertices());
-  LayoutLog packed, aos;
-  {
-    trace::ScopedSink scoped(&packed);
-    (void)run_local(g, algo, {.seed = 1, .layout = StateLayout::kPacked});
-  }
-  {
-    trace::ScopedSink scoped(&aos);
-    (void)run_local(g, algo, {.seed = 1, .layout = StateLayout::kAos});
-  }
-  EXPECT_EQ(packed.layout, static_cast<std::uint8_t>(StateLayout::kPacked));
-  EXPECT_EQ(aos.layout, static_cast<std::uint8_t>(StateLayout::kAos));
-  EXPECT_EQ(packed.packed_state_bytes, RingColoring3Algo::StatePack::kHotBytes);
-  EXPECT_EQ(aos.packed_state_bytes, 0u);
-  EXPECT_EQ(packed.volume_bytes, aos.volume_bytes)
-      << "volume is semantic: layout must not change it";
-  EXPECT_EQ(packed.packed_bytes,
-            packed.volume_bytes / sizeof(RingColoring3Algo::State) *
-                RingColoring3Algo::StatePack::kHotBytes);
-  EXPECT_EQ(aos.packed_bytes, 0u);
-}
-
-TEST(StateLayout, ProcessWideDefaultIsInheritedAndOverridable) {
-  const Graph g = gen::ring(256);
-  const RingColoring3Algo algo(g.num_vertices());
-  const auto ref =
-      run_local(g, algo, {.seed = 1, .layout = StateLayout::kPacked});
-
-  set_engine_state_layout(StateLayout::kAos);
-  const auto inherited = run_local(g, algo, {.seed = 1});
-  const auto overridden =
-      run_local(g, algo, {.seed = 1, .layout = StateLayout::kPacked});
-  set_engine_state_layout(StateLayout::kAuto);
-
-  EXPECT_EQ(inherited.outputs, ref.outputs);
-  EXPECT_EQ(overridden.outputs, ref.outputs);
-  const auto back = run_local(g, algo, {.seed = 1});
-  EXPECT_EQ(back.outputs, ref.outputs);
-}
-
-TEST(StateLayout, LayoutNamesRoundTrip) {
-  for (const StateLayout layout :
-       {StateLayout::kAuto, StateLayout::kPacked, StateLayout::kAos}) {
-    const auto parsed = state_layout_from_name(state_layout_name(layout));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, layout);
-  }
-  EXPECT_FALSE(state_layout_from_name("bogus").has_value());
-  EXPECT_FALSE(state_layout_from_name("").has_value());
+  expect_golden(g, algo, 0x5eed,
+                {0x8169b1471884090aULL, 0x3214c6a7358c5105ULL});
 }
 
 }  // namespace

@@ -44,13 +44,6 @@
 //   --sleep-hints  enable wake scheduling: hinted algorithms park
 //              idle vertices in a calendar queue instead of stepping
 //              them (byte-identical results — see docs/MODEL.md)
-//   --frontier-mode  auto|dense|sparse|calendar: pin run_local's
-//              per-round frontier representation instead of the
-//              measured auto switch (byte-identical results under
-//              every setting — see docs/MODEL.md)
-//   --layout   auto|packed|aos: pin run_local's state layout (SoA
-//              packed columns vs AoS struct buffers) for A/B runs
-//              (byte-identical results — see docs/MODEL.md)
 //   --batch-trials  run N independent trials (seeds seed..seed+N-1)
 //              through the trial batcher (sim/batch.hpp) and print the
 //              VA/WC distribution; with --threads T > 1 the trials run
@@ -299,34 +292,13 @@ int main(int argc, char** argv) {
                     "threads", "batch-trials", "timings-csv",
                     "rounds-csv", "histogram-csv", "phase-table",
                     "trace-json", "run-json", "sleep-hints",
-                    "frontier-mode", "layout", "list-algos",
-                    "validate"});
+                    "list-algos", "validate"});
   if (args.has("list-algos"))
     return list_algos(args.get_string("list-algos", ""));
 
   set_engine_threads(
       static_cast<std::size_t>(args.get_int("threads", 1)));
   set_engine_sleep_hints(args.get_bool("sleep-hints", false));
-  if (args.has("frontier-mode")) {
-    const std::string mode_name = args.get_string("frontier-mode", "");
-    const auto mode = frontier_mode_from_name(mode_name);
-    if (!mode.has_value()) {
-      std::cerr << "unknown frontier mode: " << mode_name
-                << " (want auto|dense|sparse|calendar)\n";
-      return 2;
-    }
-    set_engine_frontier_mode(*mode);
-  }
-  if (args.has("layout")) {
-    const std::string layout_name = args.get_string("layout", "");
-    const auto layout = state_layout_from_name(layout_name);
-    if (!layout.has_value()) {
-      std::cerr << "unknown state layout: " << layout_name
-                << " (want auto|packed|aos)\n";
-      return 2;
-    }
-    set_engine_state_layout(*layout);
-  }
 
   const std::string algo = args.get_string("algo", "a2logn");
   const registry::AlgoSpec* spec = registry::Registry::instance().find(algo);
