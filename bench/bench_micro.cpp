@@ -140,13 +140,10 @@ void BM_EngineCalendarQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCalendarQueue)->Arg(1 << 20);
 
-// Worst case for bucket ordering: 8 scheduling waves, each appending
-// an ascending vertex subsequence into the same 16-bucket window — the
-// pattern an engine run produces when many rounds park vertices with
-// overlapping wake horizons. Every bucket accumulates 8 presorted runs
-// that take() must fold back into one ascending sequence; the
-// calendar's recorded run boundaries make that a cascade of
-// inplace_merges instead of a from-scratch sort of the whole bucket.
+// 8 scheduling waves, each appending a vertex subsequence into the
+// same 16-bucket window — the pattern an engine run produces when many
+// rounds park vertices with overlapping wake horizons. Buckets pop
+// unordered, so this should run at the single-wave fixture's speed.
 void BM_EngineCalendarQueueInterleaved(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t waves = 8;

@@ -17,12 +17,30 @@ Subcommands:
       LATEST snapshot; exit 1 if any fixture drops below
       THRESHOLD * baseline (default 0.7, i.e. a 30% regression budget).
 
+  end-to-end [--runs N] [--seconds S] [--workloads W1,W2] NAME=DIR...
+      Run the end-to-end pipeline benchmark,
+      `python3 perfbench/run.py --workload W --seconds S --trace 0`,
+      N times (default 5) per workload in each checkout DIR, alternating
+      the checkouts within each repetition and reversing their order
+      every other repetition, so that drift on a shared host hits them
+      alike. S defaults to BENCHMARK.json's run_seconds,
+      the workloads to all of BENCHMARK.json's. Appends one record per
+      checkout under the "end_to_end" key: per workload the median, q1
+      and q3 of the five end-to-end metrics, the number of runs and of
+      failed ones, with the host and preset that perfbench echoes.
+      Typical use, a parent/change pair:
+        perf_snapshot.py end-to-end parent=../parent change=.
+
 Used by scripts/bench_baseline.sh (append) and the perf-smoke job in
 scripts/run_all.sh (check). See docs/BENCHMARKS.md.
 """
+import argparse
 import datetime
 import json
+import statistics
+import subprocess
 import sys
+from pathlib import Path
 
 BENCH_FILE = "BENCH_engine.json"
 
@@ -127,8 +145,102 @@ def cmd_check(micro_path, threshold):
     print("perf-smoke: engine round-throughput within budget")
 
 
+def perfbench_run(checkout, workload, seconds):
+    """One perfbench invocation; returns (result JSON or None, host, preset)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True)
+    lines = proc.stdout.strip().splitlines()
+    def echoed(prefix):  # the text after the colon of a "# prefix" line
+        return next((l.split(": ", 1)[-1] for l in lines
+                     if l.startswith(prefix)), None)
+    host, preset = echoed("# host"), echoed("# engine")
+    result = None
+    if proc.returncode == 0 and lines and lines[-1].startswith("{"):
+        result = json.loads(lines[-1])
+    return result, host, preset
+
+
+def cmd_end_to_end(argv):
+    parser = argparse.ArgumentParser(prog="perf_snapshot.py end-to-end")
+    parser.add_argument("--runs", type=int, default=5)
+    parser.add_argument("--seconds", type=int, default=0)
+    parser.add_argument("--workloads", default="")
+    parser.add_argument("checkouts", nargs="+", metavar="NAME=DIR")
+    opts = parser.parse_args(argv)
+    spec = json.loads(Path("BENCHMARK.json").read_text())
+    seconds = opts.seconds or spec["run_seconds"]
+    metrics = [m["name"] for m in spec["end_to_end"]]
+    workloads = (opts.workloads.split(",") if opts.workloads
+                 else [w["name"] for w in spec["workloads"]])
+    checkouts = [c.split("=", 1) for c in opts.checkouts]
+    if any(len(c) != 2 for c in checkouts):
+        parser.error("checkouts are NAME=DIR")
+
+    values = {}  # (name, workload, metric) -> [values]
+    failed = {}  # (name, workload) -> failed runs
+    hosts, presets = {}, {}
+    for i in range(opts.runs):
+        for w in workloads:
+            order = checkouts if i % 2 == 0 else checkouts[::-1]
+            for name, checkout in order:
+                result, host, preset = perfbench_run(checkout, w, seconds)
+                hosts.setdefault(name, host)
+                presets.setdefault(name, preset)
+                if result is None or not result["correct"]:
+                    failed[(name, w)] = failed.get((name, w), 0) + 1
+                    print(f"run {i + 1} {w} {name}: FAILED", flush=True)
+                    continue
+                for metric in metrics:
+                    values.setdefault((name, w, metric), []).append(
+                        result["metrics"][metric]["value"])
+                print(f"run {i + 1} {w} {name}: solve_s="
+                      f"{result['metrics']['solve_s']['value']:.4g}",
+                      flush=True)
+
+    doc = load_doc()
+    for name, _ in checkouts:
+        record = {
+            "label": name,
+            "date": datetime.date.today().isoformat(),
+            "host": hosts.get(name),
+            "preset": presets.get(name),
+            "seconds": seconds,
+            "workloads": {},
+        }
+        for w in workloads:
+            entry = {"runs": opts.runs, "failed": failed.get((name, w), 0)}
+            for metric in metrics:
+                v = values.get((name, w, metric), [])
+                if len(v) < 2:
+                    continue
+                q1, med, q3 = statistics.quantiles(v, n=4)
+                entry[metric] = {"median": med, "q1": q1, "q3": q3}
+            record["workloads"][w] = entry
+        doc.setdefault("end_to_end", []).append(record)
+    with open(BENCH_FILE, "w") as f:
+        json.dump(doc, f, indent=2)
+        f.write("\n")
+
+    print(f"\n{'workload':16} {'metric':20} "
+          + " ".join(f"{name:>24}" for name, _ in checkouts))
+    for w in workloads:
+        for metric in metrics:
+            cells = []
+            for name, _ in checkouts:
+                v = values.get((name, w, metric), [])
+                cells.append(f"{statistics.median(v):>24.6g}" if v
+                             else f"{'-':>24}")
+            print(f"{w:16} {metric:20} " + " ".join(cells))
+    print(f"[{BENCH_FILE}: appended {len(checkouts)} end_to_end record(s)]")
+
+
 def main():
-    if len(sys.argv) >= 5 and sys.argv[1] == "append":
+    if len(sys.argv) >= 2 and sys.argv[1] == "end-to-end":
+        cmd_end_to_end(sys.argv[2:])
+    elif len(sys.argv) >= 5 and sys.argv[1] == "append":
         crosspaper = sys.argv[5] if len(sys.argv) > 5 else None
         cmd_append(sys.argv[2], sys.argv[3], sys.argv[4], crosspaper)
     elif len(sys.argv) >= 3 and sys.argv[1] == "check":

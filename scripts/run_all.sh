@@ -84,6 +84,21 @@ for run in t1_on t4_off t4_on; do
     exit 1
   }
 done
+# The composed MIS and matching step bodies gather plan neighbors into
+# per-thread scratch buffers; 4 engine threads must reproduce the
+# single-threaded metrics exactly.
+for algo in mis matching; do
+  for threads in 1 4; do
+    build/tools/valocal_cli --gen forest --n 20000 --algo "$algo" \
+      --threads "$threads" \
+      | grep '^rounds:' | sed 's/ wall-ms=.*//' \
+      > "trace_output/axes_${algo}_t${threads}.txt"
+  done
+  cmp "trace_output/axes_${algo}_t1.txt" "trace_output/axes_${algo}_t4.txt" || {
+    echo "engine-axes smoke: $algo at 4 threads changed the metrics"
+    exit 1
+  }
+done
 for flag in "--frontier-mode dense" "--layout aos"; do
   # shellcheck disable=SC2086
   if build/tools/valocal_cli --gen ring --n 64 --algo ring3 $flag \
@@ -92,7 +107,7 @@ for flag in "--frontier-mode dense" "--layout aos"; do
     exit 1
   fi
 done
-echo "engine-axes smoke: metrics identical across threads x sleep hints"
+echo "engine-axes smoke: metrics identical across threads x sleep hints (ka2), threads (mis, matching)"
 
 # Registry smoke: --list-algos must enumerate the catalog, and every
 # registered algorithm must run and VALIDATE on a tiny graph through
@@ -158,9 +173,9 @@ echo "cross-paper smoke: BGKO'22 entries validate with EA reported"
 if echo 'int main(){}' | c++ -fsanitize=thread -x c++ - -o /tmp/valocal_tsan_probe 2>/dev/null; then
   rm -f /tmp/valocal_tsan_probe
   cmake -B build-tsan -G Ninja -DVALOCAL_SANITIZE=thread
-  cmake --build build-tsan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_rmat test_edgelist_bin
+  cmake --build build-tsan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_rmat test_edgelist_bin test_coverfree test_kw_reduce
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_rmat|test_edgelist_bin' \
+    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce' \
     2>&1 | tee tsan_output.txt
 else
   echo "ThreadSanitizer unavailable; skipping TSan job" | tee tsan_output.txt
@@ -174,10 +189,10 @@ fi
 if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
   rm -f /tmp/valocal_asan_probe
   cmake -B build-asan -G Ninja -DVALOCAL_SANITIZE=address,undefined
-  cmake --build build-asan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_determinism
+  cmake --build build-asan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_determinism test_coverfree test_kw_reduce
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure \
-    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_determinism' \
+    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_determinism|test_coverfree|test_kw_reduce' \
     2>&1 | tee asan_output.txt
 else
   echo "ASan+UBSan unavailable; skipping the job" | tee asan_output.txt

@@ -24,12 +24,14 @@ std::pair<std::vector<std::uint64_t>, std::size_t> psi_per_set(
                             threshold);
   std::vector<std::uint64_t> aux(g.num_vertices());
   for (Vertex v = 0; v < g.num_vertices(); ++v) aux[v] = v;
+  std::vector<std::uint64_t> nbrs;
   for (std::size_t t = 0; t < plan.num_rounds(); ++t) {
     std::vector<std::uint64_t> next(aux.size());
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      std::vector<std::uint64_t> nbrs;
-      for (Vertex u : g.neighbors(v))
-        if (hset[u] == hset[v]) nbrs.push_back(aux[u]);
+      nbrs.clear();
+      if (plan.needs_neighbors(t, aux[v]))
+        for (Vertex u : g.neighbors(v))
+          if (hset[u] == hset[v]) nbrs.push_back(aux[u]);
       next[v] = plan.advance(t, aux[v], nbrs);
     }
     aux = std::move(next);

@@ -4,6 +4,7 @@
 
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -25,8 +26,7 @@ bool ColoringA2LogNAlgo::step(Vertex v, std::size_t round,
   // One round after joining H_i: parents are the still-active neighbors
   // (they will join later H-sets) and the simultaneous joiners with
   // larger IDs. Escape all of their ID-indexed sets.
-  std::vector<std::uint64_t> parent_ids;
-  parent_ids.reserve(view.degree());
+  auto& parent_ids = thread_scratch<std::uint64_t>();
   for (std::size_t i = 0; i < view.degree(); ++i) {
     const auto& nbr = view.neighbor_state(i);
     const Vertex u = view.neighbor(i);

@@ -5,6 +5,7 @@
 
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -74,12 +75,12 @@ bool ColoringKaAlgo::step(Vertex, std::size_t round,
     }
     // Plan round pos-1 for H_{hset_index}.
     if (self.hset == static_cast<std::int32_t>(hset_index)) {
-      std::vector<std::uint64_t> nbrs;
-      nbrs.reserve(view.degree());
-      for (std::size_t i = 0; i < view.degree(); ++i) {
-        const auto& nbr = view.neighbor_state(i);
-        if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-      }
+      auto& nbrs = thread_scratch<std::uint64_t>();
+      if (plan_->needs_neighbors(pos - 1, self.aux))
+        for (std::size_t i = 0; i < view.degree(); ++i) {
+          const auto& nbr = view.neighbor_state(i);
+          if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
+        }
       next.aux = plan_->advance(pos - 1, self.aux, nbrs);
     }
     return false;
@@ -91,7 +92,8 @@ bool ColoringKaAlgo::step(Vertex, std::size_t round,
   // palette offset.
   if (!in_seg(self.hset) || self.pick >= 0) return false;
   const std::size_t a_bound = params_.threshold();
-  std::vector<char> taken(a_bound + 1, 0);
+  auto& taken = thread_scratch<char>();
+  taken.assign(a_bound + 1, 0);
   for (std::size_t i = 0; i < view.degree(); ++i) {
     const auto& nbr = view.neighbor_state(i);
     if (!in_seg(nbr.hset)) continue;

@@ -5,6 +5,7 @@
 
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -86,8 +87,7 @@ bool ColoringKa2Algo::step(Vertex v, std::size_t round,
   const std::size_t last = std::max<std::size_t>(1, steps_) - 1;
   std::uint64_t new_color = self.lad_color;
   if (steps_ > 0) {
-    std::vector<std::uint64_t> parents;
-    parents.reserve(view.degree());
+    auto& parents = thread_scratch<std::uint64_t>();
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const auto& nbr = view.neighbor_state(i);
       if (!in_seg(nbr.hset)) continue;

@@ -7,6 +7,7 @@
 #include "algo/deg_plus_one_plan.hpp"
 #include "sim/network.hpp"
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 
 namespace valocal {
@@ -40,10 +41,10 @@ class ArbdefectiveLocalAlgo {
             State& next, Xoshiro256&) const {
     const std::size_t plan_rounds = plan_->num_rounds();
     if (round <= plan_rounds) {
-      std::vector<std::uint64_t> nbrs;
-      nbrs.reserve(view.degree());
-      for (std::size_t i = 0; i < view.degree(); ++i)
-        nbrs.push_back(view.neighbor_state(i).aux);
+      auto& nbrs = thread_scratch<std::uint64_t>();
+      if (plan_->needs_neighbors(round - 1, view.self().aux))
+        for (std::size_t i = 0; i < view.degree(); ++i)
+          nbrs.push_back(view.neighbor_state(i).aux);
       next.aux = plan_->advance(round - 1, view.self().aux, nbrs);
       return false;
     }
@@ -53,7 +54,8 @@ class ArbdefectiveLocalAlgo {
     if (view.self().aux != slot) return false;
     // Parents (larger aux) have already picked; choose the least-used
     // bucket among them.
-    std::vector<std::uint32_t> used(colors_, 0);
+    auto& used = thread_scratch<std::uint32_t>();
+    used.assign(colors_, 0);
     for (std::size_t j = 0; j < view.degree(); ++j) {
       const auto& nbr = view.neighbor_state(j);
       if (nbr.aux > view.self().aux) {

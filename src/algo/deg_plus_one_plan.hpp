@@ -40,6 +40,18 @@ class DegPlusOnePlan {
   std::uint64_t advance(std::size_t t, std::uint64_t own,
                         std::span<const std::uint64_t> neighbors) const;
 
+  /// Whether advance(t, own, ·) needs the neighbor colors. True on every
+  /// ladder round, and on a KW round only for the vertices that re-pick
+  /// in it (KwReduction::needs_neighbors); elsewhere advance ignores
+  /// them, so a step body may skip the gather and pass an empty list.
+  /// Always true at t == 0, so the degree-bound check in advance still
+  /// sees every vertex's full neighbor list once per plan invocation
+  /// (the subgraph being colored cannot change within one).
+  bool needs_neighbors(std::size_t t, std::uint64_t own) const {
+    const std::size_t steps = ladder_.num_steps();
+    return t == 0 || t < steps || kw_.needs_neighbors(t - steps, own);
+  }
+
   std::size_t degree_bound() const { return degree_bound_; }
 
  private:

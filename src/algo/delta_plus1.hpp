@@ -24,6 +24,7 @@
 #include "algo/partition.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -81,12 +82,12 @@ class DeltaPlusOneAlgo {
     const std::size_t plan_rounds = plan_->num_rounds();
     if (pos <= plan_rounds) {
       // Auxiliary (A+1)-coloring of G(H_i).
-      std::vector<std::uint64_t> nbrs;
-      nbrs.reserve(view.degree());
-      for (std::size_t i = 0; i < view.degree(); ++i) {
-        const auto& nbr = view.neighbor_state(i);
-        if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-      }
+      auto& nbrs = thread_scratch<std::uint64_t>();
+      if (plan_->needs_neighbors(pos - 1, self.aux))
+        for (std::size_t i = 0; i < view.degree(); ++i) {
+          const auto& nbr = view.neighbor_state(i);
+          if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
+        }
       next.aux = plan_->advance(pos - 1, self.aux, nbrs);
       return false;
     }
@@ -97,7 +98,8 @@ class DeltaPlusOneAlgo {
 
     // List of v: {0..Delta} minus colors already fixed at any neighbor
     // (terminated neighbors and earlier sweep slots of the same H-set).
-    std::vector<char> taken(max_degree_ + 1, 0);
+    auto& taken = thread_scratch<char>();
+    taken.assign(max_degree_ + 1, 0);
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const auto& nbr = view.neighbor_state(i);
       if (nbr.color >= 0) taken[nbr.color] = 1;

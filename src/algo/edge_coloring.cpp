@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -62,7 +63,7 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
     if (assign_phase) {
       // Colors already used at this head (previous head assignments
       // plus the ones made earlier this round).
-      std::vector<std::int32_t> head_used;
+      auto& head_used = thread_scratch<std::int32_t>();
       for (auto c : self.ecolor)
         if (c >= 0) head_used.push_back(c);
       for (std::size_t i = 0; i < view.degree(); ++i) {
@@ -75,8 +76,8 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
         // Smallest color free at both endpoints: at most
         // (deg(u)-1) + (deg(w)-1) colors are forbidden, so the pick
         // stays below 2*Delta - 1.
-        std::vector<char> forbidden(
-            head_used.size() + nbr.ecolor.size() + 2, 0);
+        auto& forbidden = thread_scratch<char>();
+        forbidden.assign(head_used.size() + nbr.ecolor.size() + 2, 0);
         auto mark = [&](std::int32_t c) {
           if (c >= 0 && static_cast<std::size_t>(c) < forbidden.size())
             forbidden[c] = 1;
@@ -124,16 +125,19 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
       if (self.kind[i] != 1) continue;
       const auto& w = view.neighbor_state(i);
       const std::size_t port = view.neighbor_port(i);
-      std::vector<std::uint64_t> line_nbrs;
-      for (std::size_t j = 0; j < view.degree(); ++j)
-        if (j != i && self.kind[j] == 1)
-          line_nbrs.push_back(
-              static_cast<std::uint64_t>(self.lcolor[j]));
-      for (std::size_t j = 0; j < w.kind.size(); ++j)
-        if (j != port && w.kind[j] == 1)
-          line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
-      next.lcolor[i] = static_cast<std::int64_t>(plan_->advance(
-          t, static_cast<std::uint64_t>(self.lcolor[i]), line_nbrs));
+      const auto own = static_cast<std::uint64_t>(self.lcolor[i]);
+      auto& line_nbrs = thread_scratch<std::uint64_t>();
+      if (plan_->needs_neighbors(t, own)) {
+        for (std::size_t j = 0; j < view.degree(); ++j)
+          if (j != i && self.kind[j] == 1)
+            line_nbrs.push_back(
+                static_cast<std::uint64_t>(self.lcolor[j]));
+        for (std::size_t j = 0; j < w.kind.size(); ++j)
+          if (j != port && w.kind[j] == 1)
+            line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
+      }
+      next.lcolor[i] =
+          static_cast<std::int64_t>(plan_->advance(t, own, line_nbrs));
     }
     return false;
   }
@@ -151,8 +155,8 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
           self.lcolor[i] != static_cast<std::int64_t>(c))
         continue;
       const auto& w = view.neighbor_state(i);
-      std::vector<char> forbidden(
-          self.ecolor.size() + w.ecolor.size() + 2, 0);
+      auto& forbidden = thread_scratch<char>();
+      forbidden.assign(self.ecolor.size() + w.ecolor.size() + 2, 0);
       auto mark = [&](std::int32_t col) {
         if (col >= 0 && static_cast<std::size_t>(col) < forbidden.size())
           forbidden[col] = 1;

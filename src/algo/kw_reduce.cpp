@@ -32,15 +32,19 @@ std::uint64_t KwReduction::advance(
   VALOCAL_DCHECK(own < r.palette, "color exceeds the round's palette");
 
   std::uint64_t color = own;
-  if (own % r.group == r.step) {
-    const std::uint64_t base = (own / r.group) * r.group;
-    // Smallest color in [base, base + k] unused by any neighbor.
-    std::vector<char> taken(k_ + 1, 0);
+  if (needs_neighbors(t, own)) {
+    const std::uint64_t base = own - own % r.group;
+    // Smallest color in [base, base + k] unused by any neighbor. It is
+    // at most the neighbor count, so marks beyond that prefix never
+    // matter; the mark buffer is per thread and keeps its capacity.
+    const std::size_t marks =
+        std::min<std::size_t>(k_ + 1, neighbors.size() + 1);
+    thread_local std::vector<char> taken;
+    taken.assign(marks, 0);
     for (std::uint64_t nc : neighbors)
-      if (nc >= base && nc < base + k_ + 1)
-        taken[nc - base] = 1;
+      if (nc >= base && nc - base < marks) taken[nc - base] = 1;
     std::uint64_t pick = 0;
-    while (pick <= k_ && taken[pick]) ++pick;
+    while (pick < marks && taken[pick]) ++pick;
     VALOCAL_ENSURE(pick <= k_,
                    "no free color: neighbor count exceeds the degree bound");
     color = base + pick;

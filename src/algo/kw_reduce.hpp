@@ -39,6 +39,17 @@ class KwReduction {
   std::uint64_t advance(std::size_t t, std::uint64_t own,
                         std::span<const std::uint64_t> neighbors) const;
 
+  /// Whether advance(t, own, ·) reads the neighbors' colors: only a
+  /// vertex whose color has in-block index `step` re-picks in round t.
+  /// Every other vertex keeps (and maybe remaps) its color, so a caller
+  /// may pass an empty list instead of gathering one. An out-of-range t
+  /// answers true, so the caller still reaches advance's range check.
+  bool needs_neighbors(std::size_t t, std::uint64_t own) const {
+    if (t >= rounds_.size()) return true;
+    const Round& r = rounds_[t];
+    return own % r.group == r.step;
+  }
+
  private:
   struct Round {
     std::uint64_t palette;  // palette size entering this round

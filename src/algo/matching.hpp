@@ -30,6 +30,7 @@
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -128,16 +129,19 @@ class MatchingAlgo {
         if (self.kind[i] != 1) continue;
         const auto& w = view.neighbor_state(i);
         const std::size_t port = view.neighbor_port(i);
-        std::vector<std::uint64_t> line_nbrs;
-        for (std::size_t j = 0; j < view.degree(); ++j)
-          if (j != i && self.kind[j] == 1)
-            line_nbrs.push_back(
-                static_cast<std::uint64_t>(self.lcolor[j]));
-        for (std::size_t j = 0; j < w.kind.size(); ++j)
-          if (j != port && w.kind[j] == 1)
-            line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
-        next.lcolor[i] = static_cast<std::int64_t>(plan_->advance(
-            t, static_cast<std::uint64_t>(self.lcolor[i]), line_nbrs));
+        const auto own = static_cast<std::uint64_t>(self.lcolor[i]);
+        auto& line_nbrs = thread_scratch<std::uint64_t>();
+        if (plan_->needs_neighbors(t, own)) {
+          for (std::size_t j = 0; j < view.degree(); ++j)
+            if (j != i && self.kind[j] == 1)
+              line_nbrs.push_back(
+                  static_cast<std::uint64_t>(self.lcolor[j]));
+          for (std::size_t j = 0; j < w.kind.size(); ++j)
+            if (j != port && w.kind[j] == 1)
+              line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
+        }
+        next.lcolor[i] =
+            static_cast<std::int64_t>(plan_->advance(t, own, line_nbrs));
       }
       return false;
     }

@@ -19,6 +19,7 @@
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -65,12 +66,12 @@ class MisAlgo {
 
     const std::size_t plan_rounds = plan_->num_rounds();
     if (pos <= plan_rounds) {
-      std::vector<std::uint64_t> nbrs;
-      nbrs.reserve(view.degree());
-      for (std::size_t i = 0; i < view.degree(); ++i) {
-        const auto& nbr = view.neighbor_state(i);
-        if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-      }
+      auto& nbrs = thread_scratch<std::uint64_t>();
+      if (plan_->needs_neighbors(pos - 1, self.aux))
+        for (std::size_t i = 0; i < view.degree(); ++i) {
+          const auto& nbr = view.neighbor_state(i);
+          if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
+        }
       next.aux = plan_->advance(pos - 1, self.aux, nbrs);
       return false;
     }

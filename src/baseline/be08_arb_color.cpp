@@ -5,6 +5,7 @@
 
 #include "algo/segmentation.hpp"
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -39,8 +40,7 @@ bool Be08ArbColorAlgo::step(Vertex v, std::size_t round,
   } else if (round <= ell_ + ladder_steps_) {
     // Global ladder over the (hset, ID) orientation.
     const std::size_t t = round - ell_ - 1;
-    std::vector<std::uint64_t> parents;
-    parents.reserve(view.degree());
+    auto& parents = thread_scratch<std::uint64_t>();
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const auto& nbr = view.neighbor_state(i);
       const Vertex u = view.neighbor(i);
@@ -51,16 +51,17 @@ bool Be08ArbColorAlgo::step(Vertex v, std::size_t round,
   } else if (round <= ell_ + ladder_steps_ + kw_rounds_) {
     // KW within the own H-set only.
     const std::size_t t = round - ell_ - ladder_steps_ - 1;
-    std::vector<std::uint64_t> nbrs;
-    nbrs.reserve(view.degree());
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      const auto& nbr = view.neighbor_state(i);
-      if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-    }
+    auto& nbrs = thread_scratch<std::uint64_t>();
+    if (kw_->needs_neighbors(t, self.aux))
+      for (std::size_t i = 0; i < view.degree(); ++i) {
+        const auto& nbr = view.neighbor_state(i);
+        if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
+      }
     next.aux = kw_->advance(t, self.aux, nbrs);
   } else if (self.pick < 0) {
     // Recoloring stage.
-    std::vector<char> taken(a_bound + 1, 0);
+    auto& taken = thread_scratch<char>();
+    taken.assign(a_bound + 1, 0);
     bool ready = true;
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const auto& nbr = view.neighbor_state(i);

@@ -11,6 +11,7 @@
 #include "algo/deg_plus_one_plan.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -33,10 +34,10 @@ class WorstCaseDeltaPlusOneAlgo {
             State& next, Xoshiro256&) const {
     if (plan_->num_rounds() == 0) return true;  // n == 1 corner case
     const std::size_t t = round - 1;
-    std::vector<std::uint64_t> nbrs;
-    nbrs.reserve(view.degree());
-    for (std::size_t i = 0; i < view.degree(); ++i)
-      nbrs.push_back(view.neighbor_state(i).color);
+    auto& nbrs = thread_scratch<std::uint64_t>();
+    if (plan_->needs_neighbors(t, view.self().color))
+      for (std::size_t i = 0; i < view.degree(); ++i)
+        nbrs.push_back(view.neighbor_state(i).color);
     next.color = plan_->advance(t, view.self().color, nbrs);
     return round >= plan_->num_rounds();
   }

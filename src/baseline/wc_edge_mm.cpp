@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -31,16 +32,19 @@ bool WcEdgeColoringAlgo::step(Vertex, std::size_t round,
   for (std::size_t i = 0; i < view.degree(); ++i) {
     const auto& w = view.neighbor_state(i);
     const std::size_t port = view.neighbor_port(i);
-    std::vector<std::uint64_t> line_nbrs;
-    for (std::size_t j = 0; j < view.degree(); ++j)
-      if (j != i)
-        line_nbrs.push_back(
-            static_cast<std::uint64_t>(view.self().lcolor[j]));
-    for (std::size_t j = 0; j < w.lcolor.size(); ++j)
-      if (j != port)
-        line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
-    next.lcolor[i] = static_cast<std::int64_t>(plan_->advance(
-        t, static_cast<std::uint64_t>(view.self().lcolor[i]), line_nbrs));
+    const auto own = static_cast<std::uint64_t>(view.self().lcolor[i]);
+    auto& line_nbrs = thread_scratch<std::uint64_t>();
+    if (plan_->needs_neighbors(t, own)) {
+      for (std::size_t j = 0; j < view.degree(); ++j)
+        if (j != i)
+          line_nbrs.push_back(
+              static_cast<std::uint64_t>(view.self().lcolor[j]));
+      for (std::size_t j = 0; j < w.lcolor.size(); ++j)
+        if (j != port)
+          line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
+    }
+    next.lcolor[i] =
+        static_cast<std::int64_t>(plan_->advance(t, own, line_nbrs));
   }
   return round >= total;  // run to completion: everyone stops together
 }

@@ -1,7 +1,7 @@
 #include "coverfree/coverfree.hpp"
 
 #include <algorithm>
-#include <unordered_set>
+#include <vector>
 
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
@@ -28,6 +28,50 @@ std::uint64_t choose_prime(std::uint64_t m, std::size_t r, unsigned d) {
   const std::uint64_t min_q =
       std::max<std::uint64_t>(root, static_cast<std::uint64_t>(r) * (d - 1) + 1);
   return next_prime(std::max<std::uint64_t>(2, min_q));
+}
+
+/// Base-q digits of `c`, least significant first: the coefficients of
+/// p_c, constant term first. Digits beyond the d-th are ignored.
+void decode_digits(std::uint64_t c, std::uint64_t q, unsigned d,
+                   std::uint64_t* digits) {
+  for (unsigned i = 0; i < d; ++i) {
+    digits[i] = c % q;
+    c /= q;
+  }
+}
+
+/// Horner evaluation mod q of the polynomial with coefficients
+/// coef[0..d) (constant term first) at x. `Wide` holds acc * x + coef:
+/// 64 bits suffice while q < 2^32, larger fields need 128.
+template <class Wide>
+std::uint64_t horner(const std::uint64_t* coef, unsigned d, std::uint64_t x,
+                     std::uint64_t q) {
+  std::uint64_t acc = 0;
+  for (unsigned i = d; i-- > 0;)
+    acc = static_cast<std::uint64_t>((static_cast<Wide>(acc) * x + coef[i]) %
+                                     q);
+  return acc;
+}
+
+using Wide128 = unsigned __int128;
+
+bool fits_64bit_horner(std::uint64_t q) {
+  return q < (std::uint64_t{1} << 32);
+}
+
+/// Smallest j in [0, q) at which none of the `count` polynomials (d
+/// coefficients each, stored back to back in `polys`) vanishes; q if
+/// every point is a root of one of them.
+template <class Wide>
+std::uint64_t first_common_nonroot(const std::uint64_t* polys,
+                                   std::size_t count, unsigned d,
+                                   std::uint64_t q) {
+  for (std::uint64_t j = 0; j < q; ++j) {
+    std::size_t k = 0;
+    while (k < count && horner<Wide>(polys + k * d, d, j, q) != 0) ++k;
+    if (k == count) return j;
+  }
+  return q;
 }
 
 }  // namespace
@@ -63,19 +107,10 @@ CoverFreeFamily::CoverFreeFamily(std::uint64_t num_colors,
 
 std::uint64_t CoverFreeFamily::poly_eval(std::uint64_t color,
                                          std::uint64_t x) const {
-  // Horner over the base-q digits of `color`, most significant first.
   std::uint64_t digits[64];
-  unsigned k = 0;
-  std::uint64_t c = color;
-  for (unsigned i = 0; i < d_; ++i) {
-    digits[k++] = c % q_;
-    c /= q_;
-  }
-  std::uint64_t acc = 0;
-  for (unsigned i = k; i-- > 0;) {
-    acc = (static_cast<unsigned __int128>(acc) * x + digits[i]) % q_;
-  }
-  return acc;
+  decode_digits(color, q_, d_, digits);
+  return fits_64bit_horner(q_) ? horner<std::uint64_t>(digits, d_, x, q_)
+                               : horner<Wide128>(digits, d_, x, q_);
 }
 
 std::uint64_t CoverFreeFamily::element(std::uint64_t color,
@@ -97,18 +132,31 @@ std::uint64_t CoverFreeFamily::pick_escaping(
     std::uint64_t color, std::span<const std::uint64_t> others) const {
   VALOCAL_REQUIRE(others.size() <= r_,
                   "more parents than the family tolerates");
-  // Evaluation points where some other polynomial collides with ours.
-  std::unordered_set<std::uint64_t> blocked;
-  blocked.reserve(others.size() * (d_ > 0 ? d_ - 1 : 0) + 1);
+  // p_color(j) == p_other(j) exactly where the difference polynomial
+  // p_color - p_other vanishes, so the smallest escaping point is the
+  // first j that is a root of none of them. Each difference has fewer
+  // than d roots, so the scan stops within others.size() * (d - 1) + 1
+  // points. The coefficient buffer is per thread and keeps its capacity,
+  // so a warm call allocates nothing.
+  thread_local std::vector<std::uint64_t> diffs;
+  diffs.resize(others.size() * d_);
+  std::uint64_t own[64];
+  decode_digits(color, q_, d_, own);
+  std::size_t count = 0;
   for (std::uint64_t other : others) {
     if (other == color) continue;  // identical set can never be escaped
-    for (std::uint64_t j = 0; j < q_; ++j)
-      if (poly_eval(other, j) == poly_eval(color, j)) blocked.insert(j);
+    std::uint64_t* diff = diffs.data() + count * d_;
+    decode_digits(other, q_, d_, diff);
+    for (unsigned i = 0; i < d_; ++i)
+      diff[i] = own[i] >= diff[i] ? own[i] - diff[i] : own[i] + q_ - diff[i];
+    ++count;
   }
-  for (std::uint64_t j = 0; j < q_; ++j)
-    if (!blocked.contains(j)) return element(color, j);
-  VALOCAL_ENSURE(false, "cover-free family failed to provide an escape");
-  return 0;
+  const std::uint64_t j =
+      fits_64bit_horner(q_)
+          ? first_common_nonroot<std::uint64_t>(diffs.data(), count, d_, q_)
+          : first_common_nonroot<Wide128>(diffs.data(), count, d_, q_);
+  VALOCAL_ENSURE(j < q_, "cover-free family failed to provide an escape");
+  return element(color, j);
 }
 
 std::uint64_t arb_linial_step_colors(std::uint64_t p, std::size_t r) {

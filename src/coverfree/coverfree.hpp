@@ -49,6 +49,10 @@ class CoverFreeFamily {
   /// Picks an element of F_color not contained in any F_p for p in
   /// `others`. Guaranteed to exist when others.size() <= cover().
   /// This is the single-round recoloring step of Arb-Linial.
+  /// The pick is element(color, j) for the smallest evaluation point j
+  /// at which p_color differs from every other p_p (entries equal to
+  /// `color` are ignored; duplicates count once), so it is a pure
+  /// function of `color` and the set of others.
   std::uint64_t pick_escaping(std::uint64_t color,
                               std::span<const std::uint64_t> others) const;
 

@@ -676,9 +676,12 @@ RunResult<A> run_local(const Graph& g, const A& algo,
           // The zero test comes first so a dormant word costs one load
           // and one branch; the chunk-edge masks apply only to the (at
           // most two) edge words that hold a set bit.
+          // The chunk reports how many vertices it stepped, for the
+          // pool's per-worker load counters.
           const std::uint64_t* const words = awake_words.data();
           const std::size_t first = begin >> 6;
           const std::size_t last = (end - 1) >> 6;
+          std::size_t stepped_here = 0;
           for (std::size_t w = first; w <= last; ++w) {
             std::uint64_t bits = words[w];
             if (bits == 0) continue;
@@ -686,6 +689,7 @@ RunResult<A> run_local(const Graph& g, const A& algo,
             if (w == first) bits &= ~std::uint64_t{0} << (begin - base);
             if (w == last && end - base < 64)
               bits &= (std::uint64_t{1} << (end - base)) - 1;
+            stepped_here += static_cast<std::size_t>(std::popcount(bits));
             while (bits != 0) {
               const auto b = static_cast<unsigned>(std::countr_zero(bits));
               bits &= bits - 1;
@@ -695,6 +699,7 @@ RunResult<A> run_local(const Graph& g, const A& algo,
                   rng_streams, null_rng, parking, counters, dormant);
             }
           }
+          return stepped_here;
         });
     const std::size_t stepped = awake_count;
 

@@ -29,9 +29,8 @@ bool ThreadPool::run_chunks(Job& job, std::size_t slot) {
        c = job.next.fetch_add(1, std::memory_order_relaxed)) {
     const std::size_t begin = c * job.grain;
     const std::size_t end = std::min(job.total, begin + job.grain);
-    (*job.fn)(c, begin, end);
+    indices_here += (*job.fn)(c, begin, end);
     ++done_here;
-    indices_here += end - begin;
   }
   if (done_here == 0) return false;
   // Publish the load slot BEFORE signalling chunk completion so the
@@ -60,10 +59,8 @@ void ThreadPool::worker_loop(std::size_t slot) {
   }
 }
 
-void ThreadPool::dispatch(
-    std::size_t total, std::size_t grain, std::size_t num_chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>&
-        fn) {
+void ThreadPool::dispatch(std::size_t total, std::size_t grain,
+                          std::size_t num_chunks, const ChunkFn& fn) {
   auto job = std::make_shared<Job>();
   job->fn = &fn;
   job->total = total;

@@ -23,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace valocal {
@@ -30,7 +31,8 @@ namespace valocal {
 class ThreadPool {
  public:
   /// Cumulative work executed by one participant thread: chunks claimed
-  /// and indices stepped. Slot 0 is the dispatching caller, slots 1..
+  /// and indices processed (what each chunk's callable reported, see
+  /// parallel_for_chunks). Slot 0 is the dispatching caller, slots 1..
   /// the pool's workers. Dynamic chunk claiming makes the split
   /// schedule-dependent; the trace layer surfaces it to expose load
   /// imbalance (the totals across slots are deterministic).
@@ -59,6 +61,10 @@ class ThreadPool {
   /// (chunk_index = begin / grain). Blocks until every chunk has run;
   /// the calling thread participates. Not reentrant and not
   /// thread-safe: one job at a time, dispatched from one thread.
+  /// If fn returns a count, the count is what the chunk adds to its
+  /// thread's WorkerLoad::indices (a chunk that skips dormant indices
+  /// reports only the ones it processed); if it returns void, the
+  /// chunk's length is added.
   ///
   /// Guaranteed-serial fast path: with no workers (ThreadPool(1)) or a
   /// single chunk, the loop below runs inline — no std::function is
@@ -70,35 +76,49 @@ class ThreadPool {
     if (total == 0) return;
     if (grain == 0) grain = 1;
     const std::size_t num_chunks = (total + grain - 1) / grain;
+    const auto counted = [&fn](std::size_t c, std::size_t b,
+                               std::size_t e) -> std::uint64_t {
+      if constexpr (std::is_void_v<std::invoke_result_t<
+                        Fn&, std::size_t, std::size_t, std::size_t>>) {
+        fn(c, b, e);
+        return e - b;
+      } else {
+        return fn(c, b, e);
+      }
+    };
     if (workers_.empty() || num_chunks == 1) {
+      std::uint64_t indices = 0;
       for (std::size_t c = 0; c < num_chunks; ++c) {
         const std::size_t begin = c * grain;
         const std::size_t end =
             total < begin + grain ? total : begin + grain;
-        fn(c, begin, end);
+        indices += counted(c, begin, end);
       }
       load_[0].chunks += num_chunks;
-      load_[0].indices += total;
+      load_[0].indices += indices;
       return;
     }
     // Parallel path: box the callable BY REFERENCE (one captured
     // pointer, within std::function's small-buffer optimization — no
     // heap allocation per dispatch) and hand off to the out-of-line
     // fork-join machinery.
-    const std::function<void(std::size_t, std::size_t, std::size_t)>
-        boxed = [&fn](std::size_t c, std::size_t b, std::size_t e) {
-          fn(c, b, e);
-        };
+    const ChunkFn boxed = [&counted](std::size_t c, std::size_t b,
+                                     std::size_t e) {
+      return counted(c, b, e);
+    };
     dispatch(total, grain, num_chunks, boxed);
   }
 
  private:
+  using ChunkFn =
+      std::function<std::uint64_t(std::size_t, std::size_t, std::size_t)>;
+
   // One fork-join dispatch. Workers copy the shared_ptr under the pool
   // mutex, then claim chunks lock-free; a worker that wakes late simply
   // finds `next` exhausted. Each Job owns its counters, so a straggler
   // from generation g can never consume indices of generation g+1.
   struct Job {
-    const std::function<void(std::size_t, std::size_t, std::size_t)>* fn;
+    const ChunkFn* fn;
     std::size_t total = 0;
     std::size_t grain = 1;
     std::size_t num_chunks = 0;
@@ -112,10 +132,8 @@ class ThreadPool {
   /// final outstanding chunk).
   bool run_chunks(Job& job, std::size_t slot);
   /// Fork-join dispatch of an already-chunked job to the workers.
-  void dispatch(
-      std::size_t total, std::size_t grain, std::size_t num_chunks,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>&
-          fn);
+  void dispatch(std::size_t total, std::size_t grain,
+                std::size_t num_chunks, const ChunkFn& fn);
 
   std::vector<std::thread> workers_;
   std::vector<WorkerLoad> load_;

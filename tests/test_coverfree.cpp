@@ -3,13 +3,94 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
+#include <unordered_set>
 #include <vector>
 
 #include "util/mathx.hpp"
 
 namespace valocal {
 namespace {
+
+// p_c(x) mod q over the base-q digits of c, in 128-bit arithmetic: the
+// evaluation the library used before its 64-bit fast path.
+std::uint64_t reference_poly_eval(const CoverFreeFamily& f,
+                                  std::uint64_t color, std::uint64_t x) {
+  const std::uint64_t q = f.prime();
+  std::uint64_t digits[64];
+  for (unsigned i = 0; i < f.degree(); ++i) {
+    digits[i] = color % q;
+    color /= q;
+  }
+  std::uint64_t acc = 0;
+  for (unsigned i = f.degree(); i-- > 0;)
+    acc = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(acc) * x + digits[i]) % q);
+  return acc;
+}
+
+// The earlier pick_escaping, kept as the oracle: block every point where
+// some other polynomial agrees with ours, then take the smallest free
+// one.
+std::uint64_t reference_pick_escaping(
+    const CoverFreeFamily& f, std::uint64_t color,
+    const std::vector<std::uint64_t>& others) {
+  const std::uint64_t q = f.prime();
+  std::unordered_set<std::uint64_t> blocked;
+  for (std::uint64_t other : others) {
+    if (other == color) continue;
+    for (std::uint64_t j = 0; j < q; ++j)
+      if (reference_poly_eval(f, other, j) ==
+          reference_poly_eval(f, color, j))
+        blocked.insert(j);
+  }
+  for (std::uint64_t j = 0; j < q; ++j)
+    if (!blocked.contains(j)) return j * q + reference_poly_eval(f, color, j);
+  ADD_FAILURE() << "reference found no escape";
+  return 0;
+}
+
+// A color other than `color` whose polynomial agrees with p_color at
+// point j: random higher digits below `digit_cap` (and below q), with the
+// constant digit solved for. Needs degree >= 2.
+std::uint64_t colliding_color(const CoverFreeFamily& f, std::uint64_t color,
+                              std::uint64_t j, std::uint64_t digit_cap,
+                              std::mt19937_64& rng) {
+  using u128 = unsigned __int128;
+  const std::uint64_t q = f.prime();
+  while (true) {
+    u128 other = 0, place = q;
+    std::uint64_t power = 1, sum = 0;  // j^i and sum of o_i j^i, mod q
+    for (unsigned i = 1; i < f.degree(); ++i) {
+      const std::uint64_t o = rng() % std::min(q, digit_cap);
+      power = static_cast<std::uint64_t>(u128{power} * j % q);
+      sum = static_cast<std::uint64_t>((sum + u128{o} * power) % q);
+      other += u128{o} * place;
+      place *= q;
+    }
+    other += (reference_poly_eval(f, color, j) + q - sum) % q;
+    if (other != color) return static_cast<std::uint64_t>(other);
+  }
+}
+
+// Ascending scan that stops at the first free point; usable on fields
+// far too large for the blocked-set oracle.
+std::uint64_t reference_first_escape(
+    const CoverFreeFamily& f, std::uint64_t color,
+    const std::vector<std::uint64_t>& others) {
+  const std::uint64_t q = f.prime();
+  for (std::uint64_t j = 0; j < q; ++j) {
+    const std::uint64_t own = reference_poly_eval(f, color, j);
+    const bool blocked = std::any_of(
+        others.begin(), others.end(), [&](std::uint64_t other) {
+          return other != color && reference_poly_eval(f, other, j) == own;
+        });
+    if (!blocked) return j * q + own;
+  }
+  ADD_FAILURE() << "reference found no escape";
+  return 0;
+}
 
 TEST(CoverFree, SetsHaveDeclaredSize) {
   const CoverFreeFamily f(100, 3);
@@ -93,6 +174,75 @@ TEST(CoverFree, GroundSizeIsSubquadraticForLargeM) {
   const CoverFreeFamily f(1ULL << 20, 8);
   EXPECT_LT(f.ground_size(), 1ULL << 16);
   EXPECT_GE(ipow_capped(f.prime(), f.degree(), ~0ULL >> 1), 1ULL << 20);
+}
+
+TEST(CoverFree, PickEscapingMatchesTheBlockedSetReference) {
+  // Random families, colors and parent lists, including repeated
+  // parents and parents equal to the own color.
+  std::mt19937_64 rng(20181);
+  for (int family = 0; family < 60; ++family) {
+    const std::uint64_t m = 1 + rng() % (1ULL << 20);
+    const std::size_t r = 1 + rng() % 16;
+    const CoverFreeFamily f(m, r);
+    for (int draw = 0; draw < 40; ++draw) {
+      const std::uint64_t color = rng() % m;
+      std::vector<std::uint64_t> others(rng() % (r + 1));
+      for (auto& o : others) {
+        switch (rng() % 4) {
+          case 0: o = color; break;
+          case 1: o = others.front(); break;  // duplicate (or unset: 0)
+          default: o = rng() % m;
+        }
+      }
+      ASSERT_EQ(f.pick_escaping(color, others),
+                reference_pick_escaping(f, color, others))
+          << "m=" << m << " r=" << r << " color=" << color;
+    }
+  }
+}
+
+TEST(CoverFree, PickEscapingSkipsEveryCollidingPoint) {
+  // Parents built to agree with the own polynomial at points 0..k-1
+  // push the escape to point k or beyond.
+  const CoverFreeFamily f(1000, 6);
+  const std::uint64_t q = f.prime();
+  ASSERT_GE(f.degree(), 2u);
+  std::mt19937_64 rng(7);
+  for (int draw = 0; draw < 300; ++draw) {
+    const std::uint64_t color = rng() % f.num_colors();
+    std::vector<std::uint64_t> others;
+    const std::size_t k = rng() % (f.cover() + 1);
+    for (std::uint64_t j = 0; j < k; ++j)
+      others.push_back(colliding_color(f, color, j, q, rng));
+    const std::uint64_t x = f.pick_escaping(color, others);
+    EXPECT_GE(x / q, k) << "color=" << color;
+    EXPECT_EQ(x, reference_pick_escaping(f, color, others));
+  }
+}
+
+TEST(CoverFree, PickEscapingOnFieldsBeyond32Bits) {
+  // A cover this large forces q > r >= 2^33, past the 64-bit Horner
+  // bound, so the 128-bit path runs.
+  const CoverFreeFamily f(1ULL << 40, std::size_t{1} << 33);
+  const std::uint64_t q = f.prime();
+  ASSERT_GE(q, 1ULL << 32);
+  ASSERT_GE(f.degree(), 2u);
+  std::mt19937_64 rng(33);
+  for (int draw = 0; draw < 300; ++draw) {
+    const std::uint64_t color = rng() % f.num_colors();
+    std::vector<std::uint64_t> others;
+    const std::size_t k = rng() % 12;
+    for (std::uint64_t j = 0; j < k; ++j) {
+      // A parent colliding at point j (small high digits keep it within
+      // 64 bits), or an unrelated random color.
+      others.push_back(rng() % 3 == 0 ? rng() % f.num_colors()
+                                      : colliding_color(f, color, j, 100, rng));
+    }
+    if (rng() % 4 == 0) others.push_back(color);
+    ASSERT_EQ(f.pick_escaping(color, others),
+              reference_first_escape(f, color, others))
+        << "color=" << color;
+  }
 }
 
 TEST(ArbLinialSchedule, StrictlyDecreasingToFixedPoint) {

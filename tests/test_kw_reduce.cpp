@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <tuple>
 
 #include "algo/deg_plus_one_plan.hpp"
@@ -116,6 +117,97 @@ TEST(DegPlusOnePlan, ColorsArbitraryGraphWithDeltaPlusOne) {
     EXPECT_TRUE(is_proper_coloring(g, to_int(color)));
     for (auto c : color) EXPECT_LT(c, plan.palette());
   }
+}
+
+// Random neighbor colors for a vertex of degree <= k, drawn from a
+// range that overlaps every block.
+std::vector<std::uint64_t> random_neighbors(std::size_t k,
+                                            std::uint64_t range,
+                                            std::mt19937_64& rng) {
+  std::vector<std::uint64_t> nbrs(rng() % (k + 1));
+  for (auto& c : nbrs) c = rng() % range;
+  return nbrs;
+}
+
+TEST(KwReduction, SkippedNeighborsNeverChangeTheColor) {
+  // Wherever needs_neighbors(t, own) is false, advance must ignore the
+  // list: random neighbors and an empty list give the same color.
+  // Colors follow a vertex's trajectory so each stays in its round's
+  // palette.
+  std::mt19937_64 rng(99);
+  for (const auto& [m0, k] :
+       {std::pair<std::uint64_t, std::size_t>{50, 3}, {1000, 4},
+        {257, 1}, {5000, 16}, {64, 31}}) {
+    const KwReduction kw(m0, k);
+    std::size_t skipped = 0;
+    for (int vertex = 0; vertex < 200; ++vertex) {
+      std::uint64_t color = rng() % m0;
+      for (std::size_t t = 0; t < kw.num_rounds(); ++t) {
+        const auto nbrs = random_neighbors(k, 2 * m0, rng);
+        const std::uint64_t next = kw.advance(t, color, nbrs);
+        if (!kw.needs_neighbors(t, color)) {
+          ++skipped;
+          ASSERT_EQ(next, kw.advance(t, color, {}))
+              << "m0=" << m0 << " k=" << k << " t=" << t;
+        }
+        color = next;
+      }
+    }
+    EXPECT_GT(skipped, 0u) << "m0=" << m0 << " k=" << k;
+  }
+}
+
+TEST(KwReductionDeathTest, OutOfRangeRoundStillReachesTheRangeCheck) {
+  // needs_neighbors answers true past the last round, so a caller that
+  // asks first still calls advance and hits its range check.
+  const KwReduction kw(1000, 4);
+  ASSERT_TRUE(kw.needs_neighbors(kw.num_rounds(), 0));
+  EXPECT_DEATH((void)kw.advance(kw.num_rounds(), 0, {}),
+               "round index out of range");
+}
+
+TEST(DegPlusOnePlan, SkippedNeighborsNeverChangeTheColor) {
+  std::mt19937_64 rng(4242);
+  for (const auto& [ids, d] :
+       {std::pair<std::uint64_t, std::size_t>{1 << 12, 3}, {1 << 17, 7},
+        {300, 12}, {5, 2}, {1, 1}}) {
+    const DegPlusOnePlan plan(ids, d);
+    for (int vertex = 0; vertex < 200; ++vertex) {
+      std::uint64_t color = rng() % ids;
+      ASSERT_TRUE(plan.num_rounds() == 0 || plan.needs_neighbors(0, color));
+      for (std::size_t t = 0; t < plan.num_rounds(); ++t) {
+        const auto nbrs = random_neighbors(d, 2 * ids, rng);
+        const std::uint64_t next = plan.advance(t, color, nbrs);
+        if (!plan.needs_neighbors(t, color)) {
+          ASSERT_EQ(next, plan.advance(t, color, {}))
+              << "ids=" << ids << " d=" << d << " t=" << t;
+        }
+        color = next;
+      }
+    }
+  }
+}
+
+TEST(DegPlusOnePlan, FirstRoundAlwaysNeedsNeighbors) {
+  // Round 0 gathers for every vertex, so the degree-bound check sees
+  // each full list once per invocation — also when the ladder is empty
+  // and round 0 is already a KW round.
+  ASSERT_EQ(ArbLinialLadder(50, 8).num_steps(), 0u);
+  for (const auto& [ids, d] :
+       {std::pair<std::uint64_t, std::size_t>{1 << 16, 3}, {50, 8},
+        {30, 8}}) {
+    const DegPlusOnePlan plan(ids, d);
+    ASSERT_GT(plan.num_rounds(), 0u);
+    for (std::uint64_t own = 0; own < std::min<std::uint64_t>(ids, 4096);
+         ++own)
+      ASSERT_TRUE(plan.needs_neighbors(0, own)) << own;
+  }
+}
+
+TEST(DegPlusOnePlanDeathTest, FirstRoundStillChecksTheDegreeBound) {
+  const DegPlusOnePlan plan(1 << 12, 3);
+  const std::vector<std::uint64_t> too_many{1, 2, 3, 4};
+  EXPECT_DEATH((void)plan.advance(0, 0, too_many), "degree bound violated");
 }
 
 TEST(DegPlusOnePlan, RoundCountScalesWithDNotN) {

@@ -403,12 +403,35 @@ TEST(Trace, WorkerLoadCountersTotalTheProcessedIndices) {
   EXPECT_EQ(record.num_threads, 4u);
   ASSERT_FALSE(record.worker_indices.empty());
 
-  // Every round's word scan chunks the whole index range [0, n), so
-  // the workers together process n indices per round.
+  // Each chunk counts the vertices it stepped, so the workers together
+  // stepped every awake vertex of every round — far fewer than the
+  // rounds x n indices the chunks scan.
   std::uint64_t indices = 0;
   for (std::uint64_t i : record.worker_indices) indices += i;
-  EXPECT_EQ(indices,
+  EXPECT_EQ(indices, run.metrics.awake_sum());
+  EXPECT_LT(indices,
             run.metrics.active_per_round.size() * g.num_vertices());
+}
+
+TEST(Trace, WorkerLoadCountersSkipParkedVertices) {
+  // With sleep hints, parked vertices are charged but not stepped, and
+  // the counters total the stepped ones only.
+  const Graph g = gen::forest_union(800, 2, 5);
+  const ColoringKaAlgo algo(g.num_vertices(),
+                            PartitionParams{.arboricity = 2, .epsilon = 1.0},
+                            2);
+  trace::TraceCollector collector;
+  trace::ScopedSink sink(&collector);
+  const auto run = run_local(g, algo,
+                             {.num_threads = 4,
+                              .grain = 32,
+                              .sleep_hints = SleepHints::kOn});
+  ASSERT_EQ(collector.runs().size(), 1u);
+  ASSERT_GT(run.metrics.skipped_steps, 0u);
+  std::uint64_t indices = 0;
+  for (std::uint64_t i : collector.runs().front().worker_indices)
+    indices += i;
+  EXPECT_EQ(indices, run.metrics.awake_sum());
 }
 
 TEST(Trace, PhaseSpansNestIntoPaths) {

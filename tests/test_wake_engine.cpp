@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -258,7 +259,7 @@ TEST(WakeEngine, ToggleIsInertForUnhintedAlgorithms) {
   EXPECT_EQ(on.metrics.skipped_steps, 0u);
 }
 
-TEST(WakeCalendar, PopsSortedBucketsAndTracksSleepers) {
+TEST(WakeCalendar, PopsBucketsAndTracksSleepers) {
   WakeCalendar cal;
   cal.reset(1);
   EXPECT_EQ(cal.sleeping(), 0u);
@@ -276,7 +277,11 @@ TEST(WakeCalendar, PopsSortedBucketsAndTracksSleepers) {
   EXPECT_TRUE(cal.take(1).empty());
   EXPECT_EQ(cal.take(2), (std::vector<Vertex>{5}));
   EXPECT_EQ(cal.sleeping(), 3u);
-  EXPECT_EQ(cal.take(3), (std::vector<Vertex>{2, 7, 9}));
+  // A bucket pops in no particular order: compare the sets.
+  const auto& third = cal.take(3);
+  EXPECT_EQ(std::set<Vertex>(third.begin(), third.end()),
+            (std::set<Vertex>{2, 7, 9}));
+  EXPECT_EQ(third.size(), 3u);
   EXPECT_EQ(cal.sleeping(), 0u);
   EXPECT_TRUE(cal.take(4).empty());
 }
@@ -297,11 +302,10 @@ TEST(WakeCalendar, CompactionKeepsLongRunsBounded) {
   EXPECT_EQ(cal.sleeping(), 2u);
 }
 
-TEST(WakeCalendar, InterleavedRunsPopSorted) {
-  // Several scheduling rounds target the same buckets, each appending
-  // an ascending subsequence (the engine's chunk-order barrier always
-  // appends ascending within one round). take() must fold the recorded
-  // runs back into one ascending sequence with the exact multiset.
+TEST(WakeCalendar, InterleavedWavesPopEveryVertexOnce) {
+  // Several scheduling rounds target the same buckets. Each bucket must
+  // pop exactly the vertices scheduled into it, each once, in any
+  // order.
   WakeCalendar cal;
   cal.reset(1);
   const std::size_t waves = 5, span = 7, n = 200;
@@ -314,8 +318,6 @@ TEST(WakeCalendar, InterleavedRunsPopSorted) {
   std::vector<bool> seen(n, false);
   for (std::size_t round = 1; round <= 1 + span; ++round) {
     const auto& woken = cal.take(round);
-    EXPECT_TRUE(std::is_sorted(woken.begin(), woken.end()))
-        << "round " << round;
     for (const Vertex v : woken) {
       EXPECT_EQ(v % span, round - 2) << "vertex in wrong bucket";
       EXPECT_FALSE(seen[v]) << "vertex popped twice";
