@@ -17,24 +17,23 @@ Subcommands:
       LATEST snapshot; exit 1 if any fixture drops below
       THRESHOLD * baseline (default 0.7, i.e. a 30% regression budget).
 
-  end-to-end [--runs N] [--seconds S] [--workloads W1,W2] NAME=DIR...
+  end-to-end NAME=DIR...
       Run the end-to-end pipeline benchmark,
-      `python3 perfbench/run.py --workload W --seconds S --trace 0`,
-      N times (default 5) per workload in each checkout DIR, alternating
-      the checkouts within each repetition and reversing their order
-      every other repetition, so that drift on a shared host hits them
-      alike. S defaults to BENCHMARK.json's run_seconds,
-      the workloads to all of BENCHMARK.json's. Appends one record per
-      checkout under the "end_to_end" key: per workload the median, q1
-      and q3 of the five end-to-end metrics, the number of runs and of
-      failed ones, with the host and preset that perfbench echoes.
-      Typical use, a parent/change pair:
+      `python3 perfbench/run.py --workload W --seconds S --trace 0` with
+      S = BENCHMARK.json's run_seconds, RUNS (10) times for each of
+      BENCHMARK.json's workloads in each checkout DIR. The checkouts
+      alternate within each repetition and swap order every other
+      repetition, so that drift on a shared host hits them alike.
+      Appends one record per checkout under the "end_to_end" key: per
+      workload the median, q1 and q3 of the five end-to-end metrics,
+      the number of runs and of failed ones, with the host and preset
+      that perfbench echoes. A failed run prints the tail of its
+      stderr. Typical use, a parent/change pair:
         perf_snapshot.py end-to-end parent=../parent change=.
 
 Used by scripts/bench_baseline.sh (append) and the perf-smoke job in
 scripts/run_all.sh (check). See docs/BENCHMARKS.md.
 """
-import argparse
 import datetime
 import json
 import statistics
@@ -43,6 +42,8 @@ import sys
 from pathlib import Path
 
 BENCH_FILE = "BENCH_engine.json"
+# Alternating parent/change pairs per end-to-end recording.
+RUNS = 10
 
 
 def trim_micro(raw):
@@ -150,7 +151,7 @@ def perfbench_run(checkout, workload, seconds):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         text=True)
     lines = proc.stdout.strip().splitlines()
     def echoed(prefix):  # the text after the colon of a "# prefix" line
@@ -160,36 +161,38 @@ def perfbench_run(checkout, workload, seconds):
     result = None
     if proc.returncode == 0 and lines and lines[-1].startswith("{"):
         result = json.loads(lines[-1])
+    if result is None or not result.get("correct"):
+        result = None
+        tail = proc.stderr.strip().splitlines()[-10:]
+        print(f"  {checkout} {workload}: exit {proc.returncode}",
+              *(f"    {l}" for l in tail), sep="\n", flush=True)
     return result, host, preset
 
 
 def cmd_end_to_end(argv):
-    parser = argparse.ArgumentParser(prog="perf_snapshot.py end-to-end")
-    parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seconds", type=int, default=0)
-    parser.add_argument("--workloads", default="")
-    parser.add_argument("checkouts", nargs="+", metavar="NAME=DIR")
-    opts = parser.parse_args(argv)
+    checkouts = [c.split("=", 1) for c in argv]
+    if not checkouts or any(len(c) != 2 for c in checkouts):
+        print("usage: perf_snapshot.py end-to-end NAME=DIR...")
+        sys.exit(2)
     spec = json.loads(Path("BENCHMARK.json").read_text())
-    seconds = opts.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = [m["name"] for m in spec["end_to_end"]]
-    workloads = (opts.workloads.split(",") if opts.workloads
-                 else [w["name"] for w in spec["workloads"]])
-    checkouts = [c.split("=", 1) for c in opts.checkouts]
-    if any(len(c) != 2 for c in checkouts):
-        parser.error("checkouts are NAME=DIR")
+    workloads = [w["name"] for w in spec["workloads"]]
 
     values = {}  # (name, workload, metric) -> [values]
     failed = {}  # (name, workload) -> failed runs
     hosts, presets = {}, {}
-    for i in range(opts.runs):
+    for i in range(RUNS):
         for w in workloads:
             order = checkouts if i % 2 == 0 else checkouts[::-1]
             for name, checkout in order:
                 result, host, preset = perfbench_run(checkout, w, seconds)
-                hosts.setdefault(name, host)
-                presets.setdefault(name, preset)
-                if result is None or not result["correct"]:
+                # Keep the first echo a run actually printed.
+                if host:
+                    hosts.setdefault(name, host)
+                if preset:
+                    presets.setdefault(name, preset)
+                if result is None:
                     failed[(name, w)] = failed.get((name, w), 0) + 1
                     print(f"run {i + 1} {w} {name}: FAILED", flush=True)
                     continue
@@ -211,7 +214,7 @@ def cmd_end_to_end(argv):
             "workloads": {},
         }
         for w in workloads:
-            entry = {"runs": opts.runs, "failed": failed.get((name, w), 0)}
+            entry = {"runs": RUNS, "failed": failed.get((name, w), 0)}
             for metric in metrics:
                 v = values.get((name, w, metric), [])
                 if len(v) < 2:
