@@ -160,7 +160,10 @@ def perfbench_run(checkout, workload, seconds):
     host, preset = echoed("# host"), echoed("# engine")
     result = None
     if proc.returncode == 0 and lines and lines[-1].startswith("{"):
-        result = json.loads(lines[-1])
+        try:
+            result = json.loads(lines[-1])
+        except ValueError:  # a truncated line is a failed run
+            pass
     if result is None or not result.get("correct"):
         result = None
         tail = proc.stderr.strip().splitlines()[-10:]
